@@ -50,11 +50,7 @@ func TestEnvelopeAndLegacyPayloadsMatch(t *testing.T) {
 		t.Fatalf("legacy payload: %d: %s", legacyResp.StatusCode, legacyBody)
 	}
 
-	op, err := json.Marshal(req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	env, err := json.Marshal(Envelope{ClientID: "tester", Priority: "interactive", Op: op})
+	env, err := json.Marshal(Envelope[AttendRequest]{ClientID: "tester", Priority: "interactive", Op: &req})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -197,11 +193,8 @@ func TestDeadlineShedSkipsQueueWait(t *testing.T) {
 
 	rng := rand.New(rand.NewSource(testSeed))
 	q, k, v := genOp(rng, 2, 6)
-	op, err := json.Marshal(AttendRequest{Q: q, K: k, V: v, HeadDim: testDim, Seed: testSeed})
-	if err != nil {
-		t.Fatal(err)
-	}
-	env, err := json.Marshal(Envelope{ClientID: "hurried", DeadlineMS: 20, Op: op})
+	op := AttendRequest{Q: q, K: k, V: v, HeadDim: testDim, Seed: testSeed}
+	env, err := json.Marshal(Envelope[AttendRequest]{ClientID: "hurried", DeadlineMS: 20, Op: &op})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -311,10 +304,8 @@ func TestSessionsInheritCreatorQuota(t *testing.T) {
 	ts := httptest.NewServer(srv)
 	defer ts.Close()
 
-	create, err := json.Marshal(Envelope{
-		ClientID: "owner",
-		Op:       json.RawMessage(fmt.Sprintf(`{"head_dim":%d,"seed":%d}`, testDim, testSeed)),
-	})
+	createOp := json.RawMessage(fmt.Sprintf(`{"head_dim":%d,"seed":%d}`, testDim, testSeed))
+	create, err := json.Marshal(Envelope[json.RawMessage]{ClientID: "owner", Op: &createOp})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -2,12 +2,15 @@ package serve
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
+	"math"
 	"net/http"
 	"time"
 
 	"elsa"
+	"elsa/serve/client"
 )
 
 // Envelope is the versioned v1 request envelope shared by every POST
@@ -17,7 +20,10 @@ import (
 // with a migration hint unless the server runs with Config.CompatLegacy
 // (elsaserve -compat-legacy), in which case they behave exactly as
 // before: anonymous client, interactive priority, no deadline.
-type Envelope struct {
+//
+// T is the endpoint's payload type, so decoding an Envelope parses the op
+// in the same pass as the admission metadata.
+type Envelope[T any] struct {
 	// ClientID keys the per-client quota bucket. Empty means anonymous;
 	// all anonymous requests share one bucket, so naming yourself is how
 	// a client gets its own quota. The X-Elsa-Client header is the
@@ -32,8 +38,8 @@ type Envelope struct {
 	// deadline.
 	DeadlineMS int64 `json:"deadline_ms,omitempty"`
 	// Op is the endpoint's payload (AttendRequest, SessionCreateRequest,
-	// ...).
-	Op json.RawMessage `json:"op,omitempty"`
+	// ...). A body without an `op` key leaves it nil.
+	Op *T `json:"op,omitempty"`
 }
 
 // requestMeta is the envelope's admission metadata, resolved.
@@ -50,34 +56,33 @@ const legacyEnvelopeHint = `bare legacy payload rejected: wrap the request body 
 
 // decodeEnvelope decodes a size-bounded request body into payload and
 // resolves the admission metadata (falling back to the X-Elsa-Client /
-// X-Elsa-Priority headers). Only the v1 envelope is accepted unless
-// legacyOK (Config.CompatLegacy) also admits bare pre-envelope payloads.
-// It answers 400 itself on failure.
-func decodeEnvelope(w http.ResponseWriter, r *http.Request, maxBytes int64, legacyOK bool, payload any) (requestMeta, bool) {
+// X-Elsa-Priority headers). The body is unmarshalled once, straight into
+// the envelope with a typed op, so no float is parsed twice. Only the v1
+// envelope is accepted unless legacyOK (Config.CompatLegacy) also admits
+// bare pre-envelope payloads; that path alone reads the body again. It
+// answers 400 itself on failure.
+func decodeEnvelope[T any](w http.ResponseWriter, r *http.Request, maxBytes int64, legacyOK bool, payload *T) (requestMeta, bool) {
 	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxBytes))
 	if err != nil {
 		fail(w, http.StatusBadRequest, "invalid JSON body: "+err.Error())
 		return requestMeta{}, false
 	}
-	var env Envelope
+	var env Envelope[T]
 	if err := json.Unmarshal(body, &env); err != nil {
-		if !legacyOK {
+		fail(w, http.StatusBadRequest, "invalid JSON body: "+err.Error())
+		return requestMeta{}, false
+	}
+	switch {
+	case env.Op != nil:
+		*payload = *env.Op
+	case !legacyOK:
+		fail(w, http.StatusBadRequest, legacyEnvelopeHint)
+		return requestMeta{}, false
+	default:
+		if err := json.Unmarshal(body, payload); err != nil {
 			fail(w, http.StatusBadRequest, "invalid JSON body: "+err.Error())
 			return requestMeta{}, false
 		}
-		env = Envelope{}
-	}
-	raw := env.Op
-	if raw == nil {
-		if !legacyOK {
-			fail(w, http.StatusBadRequest, legacyEnvelopeHint)
-			return requestMeta{}, false
-		}
-		raw = body
-	}
-	if err := json.Unmarshal(raw, payload); err != nil {
-		fail(w, http.StatusBadRequest, "invalid JSON body: "+err.Error())
-		return requestMeta{}, false
 	}
 	meta := requestMeta{clientID: env.ClientID}
 	if meta.clientID == "" {
@@ -106,6 +111,15 @@ type AttendRequest struct {
 	Q [][]float32 `json:"q"`
 	K [][]float32 `json:"k"`
 	V [][]float32 `json:"v"`
+	// QP, KP and VP carry Q, K and V packed: one client.PackVec string
+	// (base64 little-endian float32) per row. Each matrix rides in exactly
+	// one form. The packed form parses with one base64 decode per row
+	// instead of a float parse per element, and round-trips bit-exactly.
+	QP []string `json:"qp,omitempty"`
+	KP []string `json:"kp,omitempty"`
+	VP []string `json:"vp,omitempty"`
+	// Packed asks for the reply's context as ContextPacked.
+	Packed bool `json:"packed,omitempty"`
 
 	// P is the degree of approximation (0 = exact attention). When T is
 	// absent the server calibrates a threshold for this p once per engine
@@ -127,8 +141,12 @@ type AttendRequest struct {
 
 // AttendResponse is the POST /v1/attend reply.
 type AttendResponse struct {
-	// Context is the attention output, one row per query.
-	Context [][]float32 `json:"context"`
+	// Context is the attention output, one row per query (omitted when
+	// the request set Packed).
+	Context [][]float32 `json:"context,omitempty"`
+	// ContextPacked replaces Context, one packed row per query, when the
+	// request set Packed.
+	ContextPacked []string `json:"context_packed,omitempty"`
 	// CandidateFraction is the mean fraction of keys admitted by the
 	// filter per query.
 	CandidateFraction float64 `json:"candidate_fraction"`
@@ -183,12 +201,17 @@ type SessionCreateResponse struct {
 }
 
 // SessionAppendRequest is the POST /v1/sessions/{id}/append body: one
-// token via key/value, or several at once via keys/values.
+// token via key/value, or several at once via keys/values or their
+// packed form kp/vp.
 type SessionAppendRequest struct {
 	Key    []float32   `json:"key,omitempty"`
 	Value  []float32   `json:"value,omitempty"`
 	Keys   [][]float32 `json:"keys,omitempty"`
 	Values [][]float32 `json:"values,omitempty"`
+	// KP and VP carry Keys and Values packed, one client.PackVec string
+	// per token, as on /v1/attend.
+	KP []string `json:"kp,omitempty"`
+	VP []string `json:"vp,omitempty"`
 }
 
 // SessionAppendResponse reports the session length after the append.
@@ -199,6 +222,10 @@ type SessionAppendResponse struct {
 // SessionQueryRequest is the POST /v1/sessions/{id}/query body.
 type SessionQueryRequest struct {
 	Q []float32 `json:"q"`
+	// QP carries Q packed (client.PackVec); exactly one of Q and QP is set.
+	QP string `json:"qp,omitempty"`
+	// Packed asks for the reply's context as ContextPacked.
+	Packed bool `json:"packed,omitempty"`
 	// T, when present, overrides the session's threshold for this query
 	// only — the wire form of elsa.Overrides on a decode step.
 	T *float64 `json:"t,omitempty"`
@@ -208,9 +235,12 @@ type SessionQueryRequest struct {
 
 // SessionQueryResponse is one decode step's result.
 type SessionQueryResponse struct {
-	// Context is the attention output for this query (omitted inside a
-	// packed step wave, which carries it as ContextPacked instead).
+	// Context is the attention output for this query (omitted when the
+	// request set Packed, which carries it as ContextPacked instead).
 	Context []float32 `json:"context,omitempty"`
+	// ContextPacked replaces Context (base64 little-endian float32) when
+	// the request set Packed.
+	ContextPacked string `json:"context_packed,omitempty"`
 	// Candidates is the number of prefix keys computed exactly.
 	Candidates int `json:"candidates"`
 	// Fallback reports whether the filter selected nothing.
@@ -325,10 +355,7 @@ type SessionStepResponse struct {
 // rest of the wave still decodes, and the wave itself answers 200.
 type SessionStepResult struct {
 	SessionQueryResponse
-	// ContextPacked replaces Context (base64 little-endian float32) when
-	// the request set Packed.
-	ContextPacked string `json:"context_packed,omitempty"`
-	Error         string `json:"error,omitempty"`
+	Error string `json:"error,omitempty"`
 }
 
 // HealthResponse is the GET /v1/healthz reply. The fleet fields are
@@ -526,6 +553,87 @@ type DrainResponse struct {
 type errorResponse struct {
 	Error string `json:"error"`
 }
+
+// unpack replaces the packed q/k/v rows, where the request sent them, by
+// their float32 rows, so validate and the engine see one form. The packed
+// strings are dropped, so they are not kept alive while the op waits.
+func (r *AttendRequest) unpack() error {
+	for _, part := range []struct {
+		name   string
+		rows   *[][]float32
+		packed []string
+	}{{"q", &r.Q, r.QP}, {"k", &r.K, r.KP}, {"v", &r.V, r.VP}} {
+		if err := unpackRows(part.name, part.rows, part.name+"p", part.packed); err != nil {
+			return err
+		}
+	}
+	r.QP, r.KP, r.VP = nil, nil, nil
+	return nil
+}
+
+// unpack is AttendRequest.unpack for an append's keys and values.
+func (r *SessionAppendRequest) unpack() error {
+	if err := unpackRows("keys", &r.Keys, "kp", r.KP); err != nil {
+		return err
+	}
+	if err := unpackRows("values", &r.Values, "vp", r.VP); err != nil {
+		return err
+	}
+	r.KP, r.VP = nil, nil
+	return nil
+}
+
+// unpackRows decodes a packed matrix into *rows when one was sent.
+// Sending both forms of one matrix is an error.
+func unpackRows(name string, rows *[][]float32, packedName string, packed []string) error {
+	if packed == nil {
+		return nil
+	}
+	if *rows != nil {
+		return fmt.Errorf("%s and %s are mutually exclusive", name, packedName)
+	}
+	m, err := client.UnpackRows(packed)
+	if err != nil {
+		return fmt.Errorf("%s: %w", packedName, err)
+	}
+	*rows = m
+	return nil
+}
+
+// unpackVec decodes a packed query vector into *q when one was sent, as
+// on a session query or a step-wave entry.
+func unpackVec(q *[]float32, packed string) error {
+	if packed == "" {
+		return nil
+	}
+	if len(*q) != 0 {
+		return errors.New("q and qp are mutually exclusive")
+	}
+	v, err := client.UnpackVec(packed)
+	if err != nil {
+		return fmt.Errorf("qp: %w", err)
+	}
+	*q = v
+	return nil
+}
+
+// checkFinite reports an error when an attention output holds a NaN or
+// an infinity. JSON cannot carry either and the packed form would carry
+// them silently, so a reply never does: the op answers 422 instead.
+func checkFinite(rows ...[]float32) error {
+	for i, row := range rows {
+		for j, x := range row {
+			if math.IsNaN(float64(x)) || math.IsInf(float64(x), 0) {
+				return fmt.Errorf("%w: context[%d][%d] is %g", errNonFinite, i, j, x)
+			}
+		}
+	}
+	return nil
+}
+
+// errNonFinite marks an attention output that is not finite, which
+// overflowing inputs can produce.
+var errNonFinite = errors.New("attention output is not finite")
 
 // validate performs the shape checks the scheduler relies on, returning a
 // client-addressable error.

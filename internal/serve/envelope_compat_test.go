@@ -24,8 +24,8 @@ import (
 
 // decodeVia runs one body through decodeEnvelope exactly as the handlers
 // do — legacy honours the CompatLegacy switch — and returns the resolved
-// meta. payload must be a pointer.
-func decodeVia(t *testing.T, body string, headers map[string]string, legacy bool, payload any) requestMeta {
+// meta.
+func decodeVia[T any](t *testing.T, body string, headers map[string]string, legacy bool, payload *T) requestMeta {
 	t.Helper()
 	r := httptest.NewRequest("POST", "/v1/test", strings.NewReader(body))
 	for k, v := range headers {
@@ -41,7 +41,7 @@ func decodeVia(t *testing.T, body string, headers map[string]string, legacy bool
 
 // rejectVia runs one body through decodeEnvelope expecting rejection and
 // returns the error body written.
-func rejectVia(t *testing.T, body string, legacy bool, payload any) string {
+func rejectVia[T any](t *testing.T, body string, legacy bool, payload *T) string {
 	t.Helper()
 	r := httptest.NewRequest("POST", "/v1/test", strings.NewReader(body))
 	w := httptest.NewRecorder()
@@ -54,41 +54,45 @@ func rejectVia(t *testing.T, body string, legacy bool, payload any) string {
 	return w.Body.String()
 }
 
-var envelopeGolden = []struct {
-	name    string
-	bare    string // pinned legacy golden body
-	payload func() any
-}{
-	{
-		name:    "attend",
-		bare:    `{"q":[[1,0]],"k":[[0.5,0.5],[1,0]],"v":[[1,2],[3,4]],"p":0.4,"head_dim":2,"hash_bits":8,"seed":9,"quantized":true}`,
-		payload: func() any { return &AttendRequest{} },
-	},
-	{
-		name:    "attend explicit threshold",
-		bare:    `{"q":[[1,0]],"k":[[1,0]],"v":[[1,2]],"p":0.3,"t":-0.25}`,
-		payload: func() any { return &AttendRequest{} },
-	},
-	{
-		name:    "session create",
-		bare:    `{"head_dim":16,"hash_bits":12,"seed":3,"quantized":true,"p":0.5,"capacity":128}`,
-		payload: func() any { return &SessionCreateRequest{} },
-	},
-	{
-		name:    "session append single",
-		bare:    `{"key":[1,0,0.5],"value":[2,1,0]}`,
-		payload: func() any { return &SessionAppendRequest{} },
-	},
-	{
-		name:    "session append batch",
-		bare:    `{"keys":[[1,0],[0,1]],"values":[[2,1],[1,2]]}`,
-		payload: func() any { return &SessionAppendRequest{} },
-	},
-	{
-		name:    "session query",
-		bare:    `{"q":[0.25,0.75],"t":-0.125}`,
-		payload: func() any { return &SessionQueryRequest{} },
-	},
+// goldenCase is one pinned bare body with its payload type bound:
+// decode and reject run it through decodeVia / rejectVia into a fresh
+// payload of that type.
+type goldenCase struct {
+	name   string
+	bare   string // pinned legacy golden body
+	decode func(t *testing.T, body string, legacy bool) (any, requestMeta)
+	reject func(t *testing.T, body string, legacy bool) string
+}
+
+func golden[T any](name, bare string) goldenCase {
+	return goldenCase{
+		name: name,
+		bare: bare,
+		decode: func(t *testing.T, body string, legacy bool) (any, requestMeta) {
+			t.Helper()
+			p := new(T)
+			return p, decodeVia(t, body, nil, legacy, p)
+		},
+		reject: func(t *testing.T, body string, legacy bool) string {
+			t.Helper()
+			return rejectVia(t, body, legacy, new(T))
+		},
+	}
+}
+
+var envelopeGolden = []goldenCase{
+	golden[AttendRequest]("attend",
+		`{"q":[[1,0]],"k":[[0.5,0.5],[1,0]],"v":[[1,2],[3,4]],"p":0.4,"head_dim":2,"hash_bits":8,"seed":9,"quantized":true}`),
+	golden[AttendRequest]("attend explicit threshold",
+		`{"q":[[1,0]],"k":[[1,0]],"v":[[1,2]],"p":0.3,"t":-0.25}`),
+	golden[SessionCreateRequest]("session create",
+		`{"head_dim":16,"hash_bits":12,"seed":3,"quantized":true,"p":0.5,"capacity":128}`),
+	golden[SessionAppendRequest]("session append single",
+		`{"key":[1,0,0.5],"value":[2,1,0]}`),
+	golden[SessionAppendRequest]("session append batch",
+		`{"keys":[[1,0],[0,1]],"values":[[2,1],[1,2]]}`),
+	golden[SessionQueryRequest]("session query",
+		`{"q":[0.25,0.75],"t":-0.125}`),
 }
 
 // TestEnvelopeBareCompat pins, for every POST endpoint payload, that with
@@ -99,15 +103,13 @@ var envelopeGolden = []struct {
 func TestEnvelopeBareCompat(t *testing.T) {
 	for _, tc := range envelopeGolden {
 		t.Run(tc.name, func(t *testing.T) {
-			bare := tc.payload()
-			meta := decodeVia(t, tc.bare, nil, true, bare)
+			bare, meta := tc.decode(t, tc.bare, true)
 			if meta.clientID != "" || meta.class != ClassInteractive || meta.deadline != 0 {
 				t.Errorf("bare body must resolve to legacy defaults, got %+v", meta)
 			}
 
-			wrapped := tc.payload()
 			envBody := fmt.Sprintf(`{"client_id":"tenant-a","priority":"batch","deadline_ms":250,"op":%s}`, tc.bare)
-			emeta := decodeVia(t, envBody, nil, true, wrapped)
+			wrapped, emeta := tc.decode(t, envBody, true)
 			if !reflect.DeepEqual(bare, wrapped) {
 				t.Errorf("enveloped op decoded differently from bare body:\nbare:    %+v\nwrapped: %+v", bare, wrapped)
 			}
@@ -124,16 +126,14 @@ func TestEnvelopeBareCompat(t *testing.T) {
 func TestEnvelopeBareSunset(t *testing.T) {
 	for _, tc := range envelopeGolden {
 		t.Run(tc.name, func(t *testing.T) {
-			errBody := rejectVia(t, tc.bare, false, tc.payload())
+			errBody := tc.reject(t, tc.bare, false)
 			if !strings.Contains(errBody, "-compat-legacy") || !strings.Contains(errBody, "envelope") {
 				t.Errorf("bare rejection must carry the migration hint, got %s", errBody)
 			}
 
-			viaCompat := tc.payload()
-			decodeVia(t, tc.bare, nil, true, viaCompat)
-			wrapped := tc.payload()
+			viaCompat, _ := tc.decode(t, tc.bare, true)
 			envBody := fmt.Sprintf(`{"op":%s}`, tc.bare)
-			meta := decodeVia(t, envBody, nil, false, wrapped)
+			wrapped, meta := tc.decode(t, envBody, false)
 			if !reflect.DeepEqual(viaCompat, wrapped) {
 				t.Errorf("enveloped decode drifted from the golden bare decode:\ncompat:  %+v\nwrapped: %+v", viaCompat, wrapped)
 			}

@@ -394,3 +394,46 @@ func TestFrontendMixesLocalAndRemote(t *testing.T) {
 		t.Error("remote-op counter never moved")
 	}
 }
+
+// TestRemoteNonFiniteAnswers422 sends an op whose scores overflow float32
+// through a dispatch-only frontend: the worker's 422 for the non-finite
+// output must reach the caller as a 422 on both the one-shot lane and a
+// session pinned to the worker, not as a 5xx or a reroute.
+func TestRemoteNonFiniteAnswers422(t *testing.T) {
+	front, workerCfg := fastCluster()
+	cl := servetest.NewCluster(1, front, workerCfg)
+	defer cl.Close()
+	c := client.New(cl.URL())
+
+	huge := make([]float32, rtDim)
+	for i := range huge {
+		huge[i] = 1e20
+	}
+	neg := make([]float32, rtDim)
+	for i := range neg {
+		neg[i] = -1e20
+	}
+	keys := [][]float32{huge, neg}
+	want422 := func(what string, err error) {
+		t.Helper()
+		var api *client.APIError
+		if !errors.As(err, &api) || api.Status != http.StatusUnprocessableEntity {
+			t.Fatalf("%s: want a 422, got %v", what, err)
+		}
+	}
+	_, err := c.Attend(context.Background(), [][]float32{huge}, keys, keys, client.AttendOptions{HeadDim: rtDim})
+	want422("attend", err)
+
+	s, err := c.NewSession(context.Background(), client.SessionOptions{HeadDim: rtDim})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.AppendBatch(context.Background(), keys, keys); err != nil {
+		t.Fatal(err)
+	}
+	_, err = s.Query(context.Background(), huge, elsa.Overrides{})
+	want422("session query", err)
+	if h := cl.Workers[0]; h.Served() == 0 {
+		t.Fatal("the worker served nothing; the ops did not cross hosts")
+	}
+}

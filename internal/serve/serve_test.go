@@ -38,11 +38,7 @@ func genOp(rng *rand.Rand, nq, nk int) (q, k, v [][]float32) {
 
 func postAttend(t *testing.T, client *http.Client, url string, req AttendRequest) (*http.Response, []byte) {
 	t.Helper()
-	op, err := json.Marshal(req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	body, err := json.Marshal(Envelope{Op: op})
+	body, err := json.Marshal(Envelope[AttendRequest]{Op: &req})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -399,6 +399,9 @@ func (s *Server) attend(w http.ResponseWriter, r *http.Request) (int, string, Cl
 	if !ok {
 		return http.StatusBadRequest, "bad_request", ClassInteractive
 	}
+	if err := req.unpack(); err != nil {
+		return fail(w, http.StatusBadRequest, err.Error()), "bad_request", meta.class
+	}
 	if err := req.validate(); err != nil {
 		return fail(w, http.StatusBadRequest, err.Error()), "bad_request", meta.class
 	}
@@ -456,6 +459,8 @@ func (s *Server) attend(w http.ResponseWriter, r *http.Request) (int, string, Cl
 		return fail(w, http.StatusServiceUnavailable, err.Error()), "no_workers", meta.class
 	case errors.Is(err, ErrClosed):
 		return fail(w, http.StatusServiceUnavailable, err.Error()), "closed", meta.class
+	case errors.Is(err, errNonFinite):
+		return fail(w, http.StatusUnprocessableEntity, err.Error()), "non_finite", meta.class
 	case errors.Is(err, context.DeadlineExceeded):
 		return fail(w, http.StatusGatewayTimeout, "request timed out"), "timeout", meta.class
 	case errors.Is(err, context.Canceled):
@@ -465,13 +470,21 @@ func (s *Server) attend(w http.ResponseWriter, r *http.Request) (int, string, Cl
 		return fail(w, http.StatusInternalServerError, err.Error()), "internal", meta.class
 	}
 
-	return writeJSON(w, http.StatusOK, AttendResponse{
-		Context:           out.Context,
+	if err := checkFinite(out.Context...); err != nil {
+		return fail(w, http.StatusUnprocessableEntity, err.Error()), "non_finite", meta.class
+	}
+	resp := AttendResponse{
 		CandidateFraction: out.CandidateFraction,
 		FallbackQueries:   out.FallbackQueries,
 		Threshold:         ThresholdJSON{P: thr.P, T: thr.T, Queries: thr.Queries},
 		BatchSize:         batchSize,
-	}), "", meta.class
+	}
+	if req.Packed {
+		resp.ContextPacked = client.PackRows(out.Context)
+	} else {
+		resp.Context = out.Context
+	}
+	return writeJSON(w, http.StatusOK, resp), "", meta.class
 }
 
 func (s *Server) handleSessionCreate(w http.ResponseWriter, r *http.Request) {
@@ -546,6 +559,10 @@ func (s *Server) handleSessionAppend(w http.ResponseWriter, r *http.Request) {
 	if _, ok := decodeEnvelope(w, r, s.cfg.MaxBodyBytes, s.cfg.CompatLegacy, &req); !ok {
 		return
 	}
+	if err := req.unpack(); err != nil {
+		fail(w, http.StatusBadRequest, err.Error())
+		return
+	}
 	if !s.chargeSessionQuota(w, r.PathValue("id")) {
 		return
 	}
@@ -588,6 +605,10 @@ func (s *Server) handleSessionQuery(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
+	if err := unpackVec(&req.Q, req.QP); err != nil {
+		fail(w, http.StatusBadRequest, err.Error())
+		return
+	}
 	if len(req.Q) == 0 {
 		fail(w, http.StatusBadRequest, "q must be non-empty")
 		return
@@ -626,14 +647,23 @@ func (s *Server) handleSessionQuery(w http.ResponseWriter, r *http.Request) {
 	out, stats, n, thr, batchSize, err := s.sessions.query(ctx, r.PathValue("id"), req.Q, ov, deadline)
 	switch {
 	case err == nil:
-		writeJSON(w, http.StatusOK, SessionQueryResponse{
-			Context:    out,
+		if err := checkFinite(out); err != nil {
+			fail(w, http.StatusUnprocessableEntity, err.Error())
+			return
+		}
+		resp := SessionQueryResponse{
 			Candidates: stats.Candidates,
 			Fallback:   stats.Fallback,
 			Len:        n,
 			Threshold:  ThresholdJSON{P: thr.P, T: thr.T, Queries: thr.Queries},
 			BatchSize:  batchSize,
-		})
+		}
+		if req.Packed {
+			resp.ContextPacked = client.PackVec(out)
+		} else {
+			resp.Context = out
+		}
+		writeJSON(w, http.StatusOK, resp)
 	case errors.Is(err, errSessionNotFound):
 		fail(w, http.StatusNotFound, err.Error())
 	case errors.Is(err, errWorkerLost):
@@ -647,6 +677,8 @@ func (s *Server) handleSessionQuery(w http.ResponseWriter, r *http.Request) {
 		fail(w, http.StatusServiceUnavailable, err.Error())
 	case errors.Is(err, ErrClosed):
 		fail(w, http.StatusServiceUnavailable, err.Error())
+	case errors.Is(err, errNonFinite):
+		fail(w, http.StatusUnprocessableEntity, err.Error())
 	case errors.Is(err, context.DeadlineExceeded):
 		fail(w, http.StatusGatewayTimeout, "request timed out")
 	case errors.Is(err, context.Canceled):
@@ -677,17 +709,9 @@ func (s *Server) handleSessionStep(w http.ResponseWriter, r *http.Request) {
 	}
 	for i := range req.Queries {
 		q := &req.Queries[i]
-		if q.QPacked != "" {
-			if len(q.Q) != 0 {
-				fail(w, http.StatusBadRequest, fmt.Sprintf("queries[%d] sets both q and qp", i))
-				return
-			}
-			vec, err := client.UnpackVec(q.QPacked)
-			if err != nil {
-				fail(w, http.StatusBadRequest, fmt.Sprintf("queries[%d].qp: %v", i, err))
-				return
-			}
-			q.Q = vec
+		if err := unpackVec(&q.Q, q.QPacked); err != nil {
+			fail(w, http.StatusBadRequest, fmt.Sprintf("queries[%d]: %v", i, err))
+			return
 		}
 		if len(q.Q) == 0 {
 			fail(w, http.StatusBadRequest, fmt.Sprintf("queries[%d].q must be non-empty", i))
@@ -735,6 +759,9 @@ func (s *Server) handleSessionStep(w http.ResponseWriter, r *http.Request) {
 	results := make([]SessionStepResult, len(entries))
 	for i := range entries {
 		e := &entries[i]
+		if e.Err == nil {
+			e.Err = checkFinite(e.Out)
+		}
 		if e.Err != nil {
 			results[i].Error = e.Err.Error()
 			continue
@@ -1145,9 +1172,20 @@ func fail(w http.ResponseWriter, code int, msg string) int {
 	return writeJSON(w, code, errorResponse{Error: msg})
 }
 
+// writeJSON encodes v before committing the status, so a reply that
+// fails to encode answers 500 with an error body instead of a 200 with
+// an empty one. It returns the status it answered with.
 func writeJSON(w http.ResponseWriter, code int, v any) int {
-	w.Header().Set("Content-Type", "application/json")
+	body, err := json.Marshal(v)
+	if err != nil {
+		code = http.StatusInternalServerError
+		body, _ = json.Marshal(errorResponse{Error: "encoding reply: " + err.Error()})
+	}
+	body = append(body, '\n')
+	h := w.Header()
+	h.Set("Content-Type", "application/json")
+	h.Set("Content-Length", strconv.Itoa(len(body)))
 	w.WriteHeader(code)
-	json.NewEncoder(w).Encode(v) //nolint:errcheck // client gone mid-write
+	w.Write(body) //nolint:errcheck // client gone mid-write
 	return code
 }

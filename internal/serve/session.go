@@ -1269,6 +1269,8 @@ func mapRemoteErr(w *worker, err error) error {
 			return errSessionNotFound
 		case api.Status == http.StatusRequestEntityTooLarge:
 			return errSessionFull
+		case api.Status == http.StatusUnprocessableEntity:
+			return fmt.Errorf("%w on worker %s", errNonFinite, w.addr)
 		case api.Status == http.StatusTooManyRequests || api.Status == http.StatusServiceUnavailable:
 			return fmt.Errorf("%w: %v", errWorkerLost, err)
 		case api.Status >= 500:

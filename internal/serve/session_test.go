@@ -23,14 +23,13 @@ func doJSON(t *testing.T, client *http.Client, method, url string, body, out any
 	t.Helper()
 	var rd io.Reader
 	if body != nil {
+		if method == http.MethodPost {
+			op := body
+			body = Envelope[any]{Op: &op}
+		}
 		raw, err := json.Marshal(body)
 		if err != nil {
 			t.Fatal(err)
-		}
-		if method == http.MethodPost {
-			if raw, err = json.Marshal(Envelope{Op: raw}); err != nil {
-				t.Fatal(err)
-			}
 		}
 		rd = bytes.NewReader(raw)
 	}

@@ -508,6 +508,9 @@ func (b *remoteBackend) classify(err error) error {
 		switch {
 		case api.Status == http.StatusTooManyRequests || api.Status == http.StatusServiceUnavailable:
 			return &workerError{addr: b.w.addr, err: err, retryable: true}
+		case api.Status == http.StatusUnprocessableEntity:
+			// The op's output is not finite; any lane would say the same.
+			return &workerError{addr: b.w.addr, err: errNonFinite, retryable: false}
 		case api.Status >= 500:
 			b.w.fault()
 			return &workerError{addr: b.w.addr, err: err, retryable: true}

@@ -65,6 +65,19 @@ go test -race -count=1 \
     ./internal/experiments/ ./internal/attention/
 go test -race -count=1 -run 'TestAttendBackendSelection|TestServerDefaultExactBackend|TestSessionBackend|TestSessionStepBackendPerEntry|TestMigrationPreservesBackend' ./internal/serve/
 
+echo "== packed wire codec under -race =="
+# Vectors ride the wire packed on every op, so the packed codec is on the
+# path of every request: the seeded fuzz corpus of the server-side packed
+# matrix decode (malformed base64, lengths that are not a multiple of 4,
+# ragged rows, both forms at once), packed/JSON wire parity down to the
+# bit, the non-finite 422 guard locally and across a worker hop, the
+# buffered reply writer, and the client's keep-alive contract. -count=1
+# so a -run filter above can never satisfy this from cache.
+go test -race -count=1 \
+    -run 'FuzzUnpackAttendRows|TestWireParity|TestPackedMalformedAnswers400|TestPackVecKeepsSpecialBits|TestNonFiniteOutputAnswers422|TestRemoteNonFiniteAnswers422|TestWriteJSONEncodeFailureAnswers500' \
+    ./internal/serve/
+go test -race -count=1 -run 'TestKeepAliveReusesOneConnection' ./serve/client/
+
 echo "== zero-alloc hot path =="
 # The alloc assertions are the steady-state performance contract; run them
 # explicitly so they can never be skipped under -short, with -count=1 to

@@ -119,25 +119,29 @@ func (c *Client) Health(ctx context.Context) (*Health, error) {
 	return &h, nil
 }
 
-// envelope mirrors the server's v1 request envelope.
+// envelope mirrors the server's v1 request envelope. Op holds the op
+// struct itself, so the whole body is marshalled in one pass.
 type envelope struct {
-	ClientID   string          `json:"client_id,omitempty"`
-	Priority   string          `json:"priority,omitempty"`
-	DeadlineMS int64           `json:"deadline_ms,omitempty"`
-	Op         json.RawMessage `json:"op"`
+	ClientID   string `json:"client_id,omitempty"`
+	Priority   string `json:"priority,omitempty"`
+	DeadlineMS int64  `json:"deadline_ms,omitempty"`
+	Op         any    `json:"op"`
 }
 
+// attendWire carries q/k/v packed, one PackVec string per row, and asks
+// for the context packed the same way.
 type attendWire struct {
-	Q         [][]float32 `json:"q"`
-	K         [][]float32 `json:"k"`
-	V         [][]float32 `json:"v"`
-	P         float64     `json:"p,omitempty"`
-	T         *float64    `json:"t,omitempty"`
-	HeadDim   int         `json:"head_dim,omitempty"`
-	HashBits  int         `json:"hash_bits,omitempty"`
-	Seed      int64       `json:"seed,omitempty"`
-	Quantized bool        `json:"quantized,omitempty"`
-	Backend   string      `json:"backend,omitempty"`
+	QP        []string `json:"qp"`
+	KP        []string `json:"kp"`
+	VP        []string `json:"vp"`
+	Packed    bool     `json:"packed"`
+	P         float64  `json:"p,omitempty"`
+	T         *float64 `json:"t,omitempty"`
+	HeadDim   int      `json:"head_dim,omitempty"`
+	HashBits  int      `json:"hash_bits,omitempty"`
+	Seed      int64    `json:"seed,omitempty"`
+	Quantized bool     `json:"quantized,omitempty"`
+	Backend   string   `json:"backend,omitempty"`
 }
 
 type thresholdWire struct {
@@ -148,6 +152,7 @@ type thresholdWire struct {
 
 type attendReplyWire struct {
 	Context           [][]float32   `json:"context"`
+	ContextPacked     []string      `json:"context_packed"`
 	CandidateFraction float64       `json:"candidate_fraction"`
 	FallbackQueries   int           `json:"fallback_queries"`
 	Threshold         thresholdWire `json:"threshold"`
@@ -160,10 +165,14 @@ type errorWire struct {
 
 // Attend runs one self-attention op on the server. A ctx deadline is
 // forwarded as the envelope's deadline_ms, so the server can shed the op
-// up front when its queue cannot meet it.
+// up front when its queue cannot meet it. Vectors ride the wire packed
+// (base64 float32) in both directions: JSON float formatting and parsing
+// would otherwise cost more than the attention itself, and the packed
+// form round-trips every bit.
 func (c *Client) Attend(ctx context.Context, q, k, v [][]float32, opts AttendOptions) (*Result, error) {
 	wire := attendWire{
-		Q: q, K: k, V: v,
+		QP: PackRows(q), KP: PackRows(k), VP: PackRows(v),
+		Packed:    true,
 		P:         opts.P,
 		HeadDim:   opts.HeadDim,
 		HashBits:  opts.HashBits,
@@ -179,8 +188,15 @@ func (c *Client) Attend(ctx context.Context, q, k, v [][]float32, opts AttendOpt
 	if err := c.post(ctx, "/v1/attend", wire, &reply); err != nil {
 		return nil, err
 	}
+	out := reply.Context
+	if reply.ContextPacked != nil {
+		var err error
+		if out, err = UnpackRows(reply.ContextPacked); err != nil {
+			return nil, fmt.Errorf("client: decoding reply: %w", err)
+		}
+	}
 	return &Result{
-		Context:           reply.Context,
+		Context:           out,
 		CandidateFraction: reply.CandidateFraction,
 		FallbackQueries:   reply.FallbackQueries,
 		Threshold:         elsa.Threshold{P: reply.Threshold.P, T: reply.Threshold.T, Queries: reply.Threshold.Queries},
@@ -192,18 +208,14 @@ func (c *Client) Attend(ctx context.Context, q, k, v [][]float32, opts AttendOpt
 // Retry-After hint (falling back to a doubling backoff), never sleeping
 // past the context deadline. out may be nil for replies with no body.
 func (c *Client) post(ctx context.Context, path string, op any, out any) error {
-	raw, err := json.Marshal(op)
-	if err != nil {
-		return fmt.Errorf("client: encoding op: %w", err)
-	}
 	body, err := json.Marshal(envelope{
 		ClientID:   c.clientID,
 		Priority:   c.priority,
 		DeadlineMS: deadlineMS(ctx),
-		Op:         raw,
+		Op:         op,
 	})
 	if err != nil {
-		return fmt.Errorf("client: encoding envelope: %w", err)
+		return fmt.Errorf("client: encoding request: %w", err)
 	}
 	backoff := 50 * time.Millisecond
 	for attempt := 0; ; attempt++ {
@@ -236,6 +248,8 @@ func (c *Client) post(ctx context.Context, path string, op any, out any) error {
 
 // once performs a single HTTP exchange; a non-2xx reply comes back as a
 // *APIError so the retry loop can decide, transport failures as err.
+// Every reply is read to EOF, success or error, so the transport can
+// reuse the connection instead of dialling a new one per request.
 func (c *Client) once(ctx context.Context, method, path string, body []byte, out any) (*APIError, error) {
 	var rd io.Reader
 	if body != nil {
@@ -252,10 +266,12 @@ func (c *Client) once(ctx context.Context, method, path string, body []byte, out
 	if err != nil {
 		return nil, fmt.Errorf("client: %w", err)
 	}
-	defer resp.Body.Close()
+	defer func() {
+		io.Copy(io.Discard, resp.Body) //nolint:errcheck // draining for keep-alive
+		resp.Body.Close()
+	}()
 	if resp.StatusCode >= 200 && resp.StatusCode < 300 {
 		if out == nil {
-			io.Copy(io.Discard, resp.Body) //nolint:errcheck // draining for keep-alive
 			return nil, nil
 		}
 		if err := json.NewDecoder(resp.Body).Decode(out); err != nil {

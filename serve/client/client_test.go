@@ -1,8 +1,11 @@
 package client_test
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"sync/atomic"
@@ -232,4 +235,72 @@ func TestClusterTypedViewFromV1Server(t *testing.T) {
 	if info.Signals.QueueDepthByClass == nil || info.Signals.ShedRateByClass == nil {
 		t.Fatalf("v1 signals block incomplete: %+v", info.Signals)
 	}
+}
+
+// TestKeepAliveReusesOneConnection pins that the client reads every reply
+// to EOF, success or error, so sequential calls share one connection:
+// 50 Attend calls, every fifth of them answered 400, open exactly one.
+// The server's replies carry a Content-Length, which lets the transport
+// see EOF early; the padded run also serves them chunked with trailing
+// whitespace, so the JSON decoder stops well before EOF and only the
+// client's own drain keeps the connection.
+func TestKeepAliveReusesOneConnection(t *testing.T) {
+	srv := serve.New(serve.Config{BatchWindow: time.Millisecond})
+	defer srv.Close()
+	padded := http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		srv.ServeHTTP(unsizedWriter{w}, r)
+		w.Write(bytes.Repeat([]byte(" "), 16<<10)) //nolint:errcheck
+	})
+	for _, tc := range []struct {
+		name string
+		h    http.Handler
+	}{{"server", srv}, {"padded chunked replies", padded}} {
+		t.Run(tc.name, func(t *testing.T) {
+			ts := httptest.NewUnstartedServer(tc.h)
+			var opened atomic.Int64
+			ts.Config.ConnState = func(_ net.Conn, state http.ConnState) {
+				if state == http.StateNew {
+					opened.Add(1)
+				}
+			}
+			ts.Start()
+			defer ts.Close()
+
+			const dim = 16
+			row := func(i int) []float32 {
+				r := make([]float32, dim)
+				r[i%dim] = 1
+				return r
+			}
+			q := [][]float32{row(0)}
+			k := [][]float32{row(0), row(1), row(2)}
+			ragged := [][]float32{row(0), row(1)[:dim-1]}
+			c := client.New(ts.URL, client.WithHTTPClient(ts.Client()))
+			for i := 0; i < 50; i++ {
+				if i%5 == 4 {
+					_, err := c.Attend(context.Background(), q, ragged, ragged, client.AttendOptions{HeadDim: dim})
+					var apiErr *client.APIError
+					if !errors.As(err, &apiErr) || apiErr.Status != http.StatusBadRequest {
+						t.Fatalf("call %d: want a 400 APIError for ragged keys, got %v", i, err)
+					}
+					continue
+				}
+				if _, err := c.Attend(context.Background(), q, k, k, client.AttendOptions{HeadDim: dim}); err != nil {
+					t.Fatalf("call %d: %v", i, err)
+				}
+			}
+			if n := opened.Load(); n != 1 {
+				t.Fatalf("50 sequential calls opened %d connections, want 1", n)
+			}
+		})
+	}
+}
+
+// unsizedWriter drops the Content-Length a handler sets, so the reply is
+// sent chunked.
+type unsizedWriter struct{ http.ResponseWriter }
+
+func (w unsizedWriter) WriteHeader(code int) {
+	w.Header().Del("Content-Length")
+	w.ResponseWriter.WriteHeader(code)
 }

@@ -2,6 +2,7 @@ package client
 
 import (
 	"context"
+	"fmt"
 
 	"elsa"
 )
@@ -59,9 +60,11 @@ type sessionCreateReplyWire struct {
 	Threshold *thresholdWire `json:"threshold,omitempty"`
 }
 
+// sessionAppendWire carries the keys and values packed, one PackVec
+// string per token.
 type sessionAppendWire struct {
-	Keys   [][]float32 `json:"keys"`
-	Values [][]float32 `json:"values"`
+	KP []string `json:"kp"`
+	VP []string `json:"vp"`
 }
 
 type sessionAppendReplyWire struct {
@@ -69,18 +72,20 @@ type sessionAppendReplyWire struct {
 }
 
 type sessionQueryWire struct {
-	Q       []float32 `json:"q"`
-	T       *float64  `json:"t,omitempty"`
-	Backend string    `json:"backend,omitempty"`
+	QP      string   `json:"qp"`
+	Packed  bool     `json:"packed"`
+	T       *float64 `json:"t,omitempty"`
+	Backend string   `json:"backend,omitempty"`
 }
 
 type sessionQueryReplyWire struct {
-	Context    []float32     `json:"context"`
-	Candidates int           `json:"candidates"`
-	Fallback   bool          `json:"fallback"`
-	Len        int           `json:"len"`
-	Threshold  thresholdWire `json:"threshold"`
-	BatchSize  int           `json:"batch_size"`
+	Context       []float32     `json:"context"`
+	ContextPacked string        `json:"context_packed"`
+	Candidates    int           `json:"candidates"`
+	Fallback      bool          `json:"fallback"`
+	Len           int           `json:"len"`
+	Threshold     thresholdWire `json:"threshold"`
+	BatchSize     int           `json:"batch_size"`
 }
 
 // NewSession creates a server-side decode session.
@@ -118,18 +123,21 @@ func (s *Session) Append(ctx context.Context, key, value []float32) (int, error)
 }
 
 // AppendBatch adds several tokens at once, returning the prefix length.
+// Keys and values ride the wire packed.
 func (s *Session) AppendBatch(ctx context.Context, keys, values [][]float32) (int, error) {
 	var reply sessionAppendReplyWire
-	if err := s.c.post(ctx, "/v1/sessions/"+s.id+"/append", sessionAppendWire{Keys: keys, Values: values}, &reply); err != nil {
+	wire := sessionAppendWire{KP: PackRows(keys), VP: PackRows(values)}
+	if err := s.c.post(ctx, "/v1/sessions/"+s.id+"/append", wire, &reply); err != nil {
 		return 0, err
 	}
 	return reply.Len, nil
 }
 
 // Query attends q over the session's prefix. A non-nil Overrides.Thr
-// overrides the session threshold for this query only.
+// overrides the session threshold for this query only. The query and the
+// context ride the wire packed.
 func (s *Session) Query(ctx context.Context, q []float32, ov elsa.Overrides) (*QueryResult, error) {
-	wire := sessionQueryWire{Q: q, Backend: ov.Backend}
+	wire := sessionQueryWire{QP: PackVec(q), Packed: true, Backend: ov.Backend}
 	if ov.Thr != nil {
 		wire.T = &ov.Thr.T
 	}
@@ -137,8 +145,15 @@ func (s *Session) Query(ctx context.Context, q []float32, ov elsa.Overrides) (*Q
 	if err := s.c.post(ctx, "/v1/sessions/"+s.id+"/query", wire, &reply); err != nil {
 		return nil, err
 	}
+	out := reply.Context
+	if reply.ContextPacked != "" {
+		var err error
+		if out, err = UnpackVec(reply.ContextPacked); err != nil {
+			return nil, fmt.Errorf("client: decoding reply: %w", err)
+		}
+	}
 	return &QueryResult{
-		Context:    reply.Context,
+		Context:    out,
 		Candidates: reply.Candidates,
 		Fallback:   reply.Fallback,
 		Len:        reply.Len,

@@ -37,8 +37,7 @@ type sessionStepWire struct {
 type sessionStepReplyWire struct {
 	Results []struct {
 		sessionQueryReplyWire
-		ContextPacked string `json:"context_packed"`
-		Error         string `json:"error"`
+		Error string `json:"error"`
 	} `json:"results"`
 }
 
