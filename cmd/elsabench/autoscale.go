@@ -40,7 +40,6 @@ type AutoscaleRow struct {
 
 func autoscaleFront(syncMirror bool) serve.Config {
 	return serve.Config{
-		BatchWindow:         time.Millisecond,
 		Replicas:            -1, // dispatch-only: sessions pin to workers
 		WorkerProbeInterval: 25 * time.Millisecond,
 		RequestTimeout:      10 * time.Second,
@@ -76,7 +75,7 @@ func autoscaleRows(opt experiments.Options) ([]AutoscaleRow, error) {
 func rebalanceRow(opt experiments.Options, sessions int) (AutoscaleRow, error) {
 	cl := servetest.NewDynamicCluster(autoscaleFront(false))
 	defer cl.Close()
-	if _, err := cl.AddWorker(serve.Config{BatchWindow: time.Millisecond, Replicas: 1}, 25*time.Millisecond, 5*time.Second); err != nil {
+	if _, err := cl.AddWorker(serve.Config{Replicas: 1}, 25*time.Millisecond, 5*time.Second); err != nil {
 		return AutoscaleRow{}, err
 	}
 
@@ -99,7 +98,7 @@ func rebalanceRow(opt experiments.Options, sessions int) (AutoscaleRow, error) {
 		}
 	}
 
-	joiner, err := cl.AddWorker(serve.Config{BatchWindow: time.Millisecond, Replicas: 1}, 25*time.Millisecond, 5*time.Second)
+	joiner, err := cl.AddWorker(serve.Config{Replicas: 1}, 25*time.Millisecond, 5*time.Second)
 	if err != nil {
 		return AutoscaleRow{}, err
 	}
@@ -150,7 +149,7 @@ func rebalanceRow(opt experiments.Options, sessions int) (AutoscaleRow, error) {
 func mirrorRow(opt experiments.Options, sessions, tokensPer int, syncMirror bool) (AutoscaleRow, error) {
 	cl := servetest.NewDynamicCluster(autoscaleFront(syncMirror))
 	defer cl.Close()
-	if _, err := cl.AddWorker(serve.Config{BatchWindow: time.Millisecond, Replicas: 1}, 25*time.Millisecond, 5*time.Second); err != nil {
+	if _, err := cl.AddWorker(serve.Config{Replicas: 1}, 25*time.Millisecond, 5*time.Second); err != nil {
 		return AutoscaleRow{}, err
 	}
 

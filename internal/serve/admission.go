@@ -140,11 +140,11 @@ func (q *quotas) clients() int {
 }
 
 // classWeights are the dispatcher's weighted-dequeue shares, indexed by
-// Class. When a dispatched micro-batch would overflow, the highest
-// non-empty class fills freely and each lower class is capped at
-// max(1, maxBatch·w/Σw) ops per dispatch — deferred ops stay queued for
-// the next window (counted as priority-preempted), so background work
-// makes progress every dispatch but never displaces interactive ops.
+// Class. When a harvested batch would overflow, the highest non-empty
+// class fills freely and each lower class is capped at
+// max(1, maxBatch·w/Σw) ops per batch — deferred ops stay queued for the
+// next harvest (counted as priority-preempted), so background work
+// makes progress every batch but never displaces interactive ops.
 type classWeights [NumClasses]int
 
 // defaultClassWeights is the 16:4:1 split used when Config.ClassWeights

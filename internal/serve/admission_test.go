@@ -23,7 +23,7 @@ import (
 // op. (Without -compat-legacy the bare form is rejected outright; see
 // envelope_compat_test.go.)
 func TestEnvelopeAndLegacyPayloadsMatch(t *testing.T) {
-	srv := New(Config{BatchWindow: time.Millisecond, CompatLegacy: true})
+	srv := New(Config{CompatLegacy: true})
 	defer srv.Close()
 	ts := httptest.NewServer(srv)
 	defer ts.Close()
@@ -97,9 +97,8 @@ func TestBadPriorityRejected(t *testing.T) {
 // sheds charged to it.
 func TestQuotaFloodIsolatesQuietClient(t *testing.T) {
 	srv := New(Config{
-		BatchWindow: time.Millisecond,
-		QuotaRPS:    5,
-		QuotaBurst:  8,
+		QuotaRPS:   5,
+		QuotaBurst: 8,
 	})
 	defer srv.Close()
 	ts := httptest.NewServer(srv)
@@ -181,12 +180,13 @@ func asAPIError(err error, target **client.APIError) bool {
 }
 
 // TestDeadlineShedSkipsQueueWait verifies deadline-aware shedding: an op
-// whose deadline_ms cannot cover the batching window is refused
-// immediately with Retry-After instead of sitting in queue until it
-// times out.
+// whose deadline_ms cannot cover the estimated wait — one batch at the
+// smoothed service time, seeded here by one batch held for 400ms — is
+// refused immediately with Retry-After instead of sitting in queue until
+// it times out.
 func TestDeadlineShedSkipsQueueWait(t *testing.T) {
 	const window = 400 * time.Millisecond
-	srv := New(Config{BatchWindow: window})
+	srv := New(Config{})
 	defer srv.Close()
 	ts := httptest.NewServer(srv)
 	defer ts.Close()
@@ -194,6 +194,20 @@ func TestDeadlineShedSkipsQueueWait(t *testing.T) {
 	rng := rand.New(rand.NewSource(testSeed))
 	q, k, v := genOp(rng, 2, 6)
 	op := AttendRequest{Q: q, K: k, V: v, HeadDim: testDim, Seed: testSeed}
+	hold := holdAttendSet(t, srv, op)
+	defer hold.open()
+	seeded := make(chan struct{})
+	go func() {
+		defer close(seeded)
+		if resp, raw := postAttend(t, ts.Client(), ts.URL, op); resp.StatusCode != http.StatusOK {
+			t.Errorf("seeding request: status %d (%s)", resp.StatusCode, raw)
+		}
+	}()
+	hold.waitEntered(t, 1)
+	time.Sleep(window)
+	hold.open()
+	<-seeded
+
 	env, err := json.Marshal(Envelope[AttendRequest]{ClientID: "hurried", DeadlineMS: 20, Op: &op})
 	if err != nil {
 		t.Fatal(err)
@@ -214,7 +228,7 @@ func TestDeadlineShedSkipsQueueWait(t *testing.T) {
 		t.Error("deadline shed carried no Retry-After header")
 	}
 	// The whole point: the op must be refused up front, not after paying
-	// the 400ms batching window (or its own 20ms timeout as a 504).
+	// the 400ms service time (or its own 20ms timeout as a 504).
 	if elapsed > window/2 {
 		t.Errorf("deadline shed took %v; it should not pay the %v queue wait", elapsed, window)
 	}
@@ -227,18 +241,29 @@ func TestDeadlineShedSkipsQueueWait(t *testing.T) {
 // with maxBatch 4 and default 16:4:1 weights, a full batch of 3
 // background + 1 interactive ops must dispatch the interactive op at
 // once with only background's weight share (1 op) alongside, deferring
-// the other background ops to the next window — progress for both, no
-// displacement of the interactive op.
+// the other background ops to the next harvest — progress for both, no
+// displacement of the interactive op. All four queue behind a blocker
+// holding the only shard.
 func TestWeightedDequeueDefersBackground(t *testing.T) {
-	p, d, m := newTestStack(t, 1, 4, time.Second, 4, 64)
+	p, d, m := newTestStack(t, 1, 4, 4, 64)
 	set, err := p.get(normalizeOptions(elsa.Options{HeadDim: testDim, Seed: testSeed}, testDim))
 	if err != nil {
 		t.Fatal(err)
 	}
 	rng := rand.New(rand.NewSource(testSeed))
 	q, k, v := genOp(rng, 2, 6)
+	hold := holdShards(set)
+	defer hold.open()
 
 	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		if _, _, _, err := d.submit(context.Background(), set, elsa.BatchOp{Q: q, K: k, V: v}, elsa.Exact(), ClassInteractive, time.Time{}); err != nil {
+			t.Errorf("blocker: %v", err)
+		}
+	}()
+	hold.waitEntered(t, 1)
 	bgBatch := make([]int, 3)
 	for i := 0; i < 3; i++ {
 		wg.Add(1)
@@ -251,26 +276,20 @@ func TestWeightedDequeueDefersBackground(t *testing.T) {
 			bgBatch[i] = size
 		}(i)
 	}
-	// Wait for all three background ops to be resident in the pending
-	// batch before the interactive op arrives and fills it.
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		d.mu.Lock()
-		n := d.queued
-		d.mu.Unlock()
-		if n == 3 {
-			break
+	// Wait for all three background ops to be queued before the
+	// interactive op arrives, then free the shard.
+	waitQueued(t, d, 3)
+	var size int
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		var err error
+		if _, size, _, err = d.submit(context.Background(), set, elsa.BatchOp{Q: q, K: k, V: v}, elsa.Exact(), ClassInteractive, time.Time{}); err != nil {
+			t.Errorf("interactive op: %v", err)
 		}
-		if time.Now().After(deadline) {
-			t.Fatalf("background ops never queued: %d resident", n)
-		}
-		time.Sleep(time.Millisecond)
-	}
-
-	_, size, _, err := d.submit(context.Background(), set, elsa.BatchOp{Q: q, K: k, V: v}, elsa.Exact(), ClassInteractive, time.Time{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	}()
+	waitQueued(t, d, 4)
+	hold.open()
 	wg.Wait()
 
 	// The interactive op's dispatch carried itself plus background's cap
@@ -282,8 +301,8 @@ func TestWeightedDequeueDefersBackground(t *testing.T) {
 		t.Errorf("preempted{background} = %d, want 2", got)
 	}
 	// Every background op shares a batch of 2: one rode along with the
-	// interactive op, the two deferred ones dispatch together when the
-	// next window fires.
+	// interactive op, the two deferred ones go together in the next
+	// harvest.
 	for i, size := range bgBatch {
 		if size != 2 {
 			t.Errorf("background op %d dispatched in a batch of %d, want 2 (sizes %v)", i, size, bgBatch)

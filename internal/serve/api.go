@@ -249,7 +249,7 @@ type SessionQueryResponse struct {
 	Len int `json:"len"`
 	// Threshold is the operating point the query ran with.
 	Threshold ThresholdJSON `json:"threshold"`
-	// BatchSize is how many session queries the continuous decode loop
+	// BatchSize is how many session queries the dispatch loop
 	// coalesced into the dispatch this one rode in (1 = it rode alone).
 	BatchSize int `json:"batch_size"`
 }
@@ -313,7 +313,7 @@ type SessionImportResponse struct {
 
 // SessionStepRequest is the POST /v1/sessions/step body: one decode
 // step for many sessions in a single request — the client-side
-// complement of the continuous decode loop. A model runner stepping N
+// complement of continuous decode batching. A model runner stepping N
 // sequences submits all N queries here; server-side they enter the
 // session registry concurrently and the decode loop coalesces them
 // (with any other in-flight decode traffic) into shared dispatches, so
@@ -377,9 +377,9 @@ type HealthResponse struct {
 	// active + draining); Draining counts those mid-drain.
 	Members  int `json:"members,omitempty"`
 	Draining int `json:"draining,omitempty"`
-	// ShardDepth is the current total of queued micro-batches across all
-	// dispatch shards; DecodeCoalesced and DecodeMeanBatch summarize the
-	// continuous decode loop (queries that shared a batch, and the mean
+	// ShardDepth is the current total of in-flight batches across all
+	// dispatch shards; DecodeCoalesced and DecodeMeanBatch summarize
+	// continuous decode batching (queries that shared a batch, and the mean
 	// decode batch size). Fleet-view only, like Role.
 	ShardDepth      int64   `json:"shard_depth,omitempty"`
 	DecodeCoalesced int64   `json:"decode_coalesced,omitempty"`

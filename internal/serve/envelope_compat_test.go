@@ -206,7 +206,7 @@ func TestEnvelopeAttendByteIdentical(t *testing.T) {
 	}
 
 	t.Run("compat on", func(t *testing.T) {
-		srv := New(Config{BatchWindow: time.Millisecond, CompatLegacy: true})
+		srv := New(Config{CompatLegacy: true})
 		defer srv.Close()
 		ts := httptest.NewServer(srv)
 		defer ts.Close()
@@ -232,7 +232,7 @@ func TestEnvelopeAttendByteIdentical(t *testing.T) {
 	})
 
 	t.Run("sunset default", func(t *testing.T) {
-		srv := New(Config{BatchWindow: time.Millisecond})
+		srv := New(Config{})
 		defer srv.Close()
 		ts := httptest.NewServer(srv)
 		defer ts.Close()

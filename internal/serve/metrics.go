@@ -112,7 +112,7 @@ type Metrics struct {
 
 	shardBatches map[int]int64 // replica index → dispatched batches
 	shardOps     map[int]int64 // replica index → ops in those batches
-	shardDepth   map[int]int64 // replica index → batches queued, not yet run
+	shardDepth   map[int]int64 // replica index → batches in flight, at most one per shard
 
 	engineEvictions int64 // replica sets evicted from the bounded pool
 
@@ -128,7 +128,7 @@ type Metrics struct {
 	sessionsRecovered  int64 // sessions re-placed after a worker loss
 	thresholdEvictions int64 // state-dir threshold files removed by the cap
 
-	decodeBatches   int64      // batches dispatched by the continuous decode loop
+	decodeBatches   int64      // decode batches the dispatch loops ran
 	decodeOps       int64      // session queries across those batches
 	decodeCoalesced int64      // queries that shared a decode batch (batch size > 1)
 	decodeBatchSize *histogram // queries coalesced per decode batch
@@ -201,8 +201,8 @@ func (m *Metrics) AdmissionDecisions() map[string]int64 {
 	return out
 }
 
-// ObservePreempted tallies n ops of a class deferred to the next window
-// by the weighted dequeue.
+// ObservePreempted tallies n ops of a class deferred to a later batch by
+// the weighted dequeue.
 func (m *Metrics) ObservePreempted(class string, n int) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -280,7 +280,7 @@ func (m *Metrics) ObserveShardBatch(shard, size int) {
 	m.shardOps[shard] += int64(size)
 }
 
-// AddShardDepth adjusts the queued-batch gauge for one replica shard.
+// AddShardDepth adjusts the in-flight-batch gauge for one replica shard.
 func (m *Metrics) AddShardDepth(shard int, delta int64) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -430,9 +430,9 @@ func (m *Metrics) ThresholdEvictions() int64 {
 	return m.thresholdEvictions
 }
 
-// ObserveDecodeBatch records one batch dispatched by the continuous
-// decode loop. A batch of size > 1 means its queries were coalesced —
-// each would have been a serialized dispatch without the loop.
+// ObserveDecodeBatch records one decode batch a dispatch loop ran. A
+// batch of size > 1 means its queries were coalesced — each would have
+// been a serialized dispatch without the loop.
 func (m *Metrics) ObserveDecodeBatch(size int) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -444,7 +444,7 @@ func (m *Metrics) ObserveDecodeBatch(size int) {
 	}
 }
 
-// DecodeBatches reports how many batches the decode loop dispatched.
+// DecodeBatches reports how many decode batches the dispatch loops ran.
 func (m *Metrics) DecodeBatches() int64 {
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -470,8 +470,8 @@ func (m *Metrics) MeanDecodeBatchSize() float64 {
 	return float64(m.decodeOps) / float64(m.decodeBatches)
 }
 
-// TotalShardDepth sums the queued-batch gauge across all shards — the
-// fleet-wide backlog number the healthz fleet view reports.
+// TotalShardDepth sums the in-flight-batch gauge across all shards — the
+// fleet-wide busy-lane count the healthz fleet view reports.
 func (m *Metrics) TotalShardDepth() int64 {
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -858,7 +858,7 @@ func (m *Metrics) WriteTo(w io.Writer) (int64, error) {
 	for _, d := range sortedKeys(m.admission) {
 		fmt.Fprintf(cw, "elsa_serve_admission_total{decision=%q} %d\n", d, m.admission[d])
 	}
-	fmt.Fprintf(cw, "# HELP elsa_serve_preempted_total Ops deferred to the next window by the weighted dequeue, by class.\n")
+	fmt.Fprintf(cw, "# HELP elsa_serve_preempted_total Ops deferred to a later batch by the weighted dequeue, by class.\n")
 	fmt.Fprintf(cw, "# TYPE elsa_serve_preempted_total counter\n")
 	for _, c := range sortedKeys(m.preempted) {
 		fmt.Fprintf(cw, "elsa_serve_preempted_total{class=%q} %d\n", c, m.preempted[c])
@@ -891,7 +891,7 @@ func (m *Metrics) WriteTo(w io.Writer) (int64, error) {
 	for _, sh := range sortedIntKeys(m.shardOps) {
 		fmt.Fprintf(cw, "elsa_serve_shard_ops_total{shard=\"%d\"} %d\n", sh, m.shardOps[sh])
 	}
-	fmt.Fprintf(cw, "# HELP elsa_serve_shard_depth Batches queued but not yet running, per replica shard.\n")
+	fmt.Fprintf(cw, "# HELP elsa_serve_shard_depth Batches in flight (at most one per shard), by replica shard index.\n")
 	fmt.Fprintf(cw, "# TYPE elsa_serve_shard_depth gauge\n")
 	for _, sh := range sortedIntKeys(m.shardDepth) {
 		fmt.Fprintf(cw, "elsa_serve_shard_depth{shard=\"%d\"} %d\n", sh, m.shardDepth[sh])
@@ -964,7 +964,7 @@ func (m *Metrics) WriteTo(w io.Writer) (int64, error) {
 	fmt.Fprintf(cw, "# HELP elsa_serve_mirror_pending Mirror append chunks accepted remotely but not yet replayed.\n")
 	fmt.Fprintf(cw, "# TYPE elsa_serve_mirror_pending gauge\n")
 	fmt.Fprintf(cw, "elsa_serve_mirror_pending %d\n", m.mirrorPending)
-	fmt.Fprintf(cw, "# HELP elsa_serve_decode_batches_total Batches dispatched by the continuous decode loop.\n")
+	fmt.Fprintf(cw, "# HELP elsa_serve_decode_batches_total Session decode batches run by the dispatch loops.\n")
 	fmt.Fprintf(cw, "# TYPE elsa_serve_decode_batches_total counter\n")
 	fmt.Fprintf(cw, "elsa_serve_decode_batches_total %d\n", m.decodeBatches)
 	fmt.Fprintf(cw, "# HELP elsa_serve_decode_batch_ops_total Session queries dispatched across all decode batches.\n")

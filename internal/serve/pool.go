@@ -1,13 +1,13 @@
 // Package serve is the long-running attention-serving subsystem: an
 // HTTP/JSON front end over the public elsa.Engine with a shard-aware
-// micro-batching dispatcher, replicated engines per configuration, a
-// session registry for autoregressive decode, bounded queueing with
+// continuous-batching dispatcher, replicated engines per configuration,
+// a session registry for autoregressive decode, bounded queueing with
 // backpressure, and Prometheus-format metrics. It is the software
 // analogue of the paper's batch-level parallelism across replicated
-// accelerator modules (§IV-D): concurrent requests arriving within a
-// short window are coalesced into one batch and routed onto one of the
-// configuration's engine replicas, the way SimulateBatch dispatches ops
-// across a 12-unit fleet.
+// accelerator modules (§IV-D): each configuration runs one dispatch
+// loop that keeps every engine replica busy, handing each idle replica
+// whatever one-shot ops or decode steps queued while it was working, the
+// way SimulateBatch dispatches ops across a 12-unit fleet.
 package serve
 
 import (
@@ -40,11 +40,11 @@ func normalizeOptions(opts elsa.Options, queryWidth int) elsa.Options {
 // replicaSet is one pooled configuration's engine fleet: R engines built
 // from the same resolved Options (replica 0 via elsa.New, the rest
 // restored from its snapshot, so all replicas hash and attend
-// bit-identically) each fronted by a local dispatch shard with its own
-// queue, plus one remote shard per configured worker. Remote workers
-// build their engines deterministically from the same wire options, so
-// any shard — local or remote — can serve any micro-batch for the key
-// without affecting results. engines[0] always exists (even at zero local
+// bit-identically) each fronted by a local dispatch shard, plus one
+// remote shard per configured worker, all fed by the set's one loop.
+// Remote workers build their engines deterministically from the same
+// wire options, so any shard — local or remote — can serve any
+// micro-batch for the key without affecting results. engines[0] always exists (even at zero local
 // replicas) because calibration and local sessions run on it.
 type replicaSet struct {
 	opts  elsa.Options
@@ -56,7 +56,7 @@ type replicaSet struct {
 
 	// shardsv holds the immutable []*shard snapshot — local lanes first,
 	// then one per worker. Cluster joins append a lane by storing a new
-	// snapshot under the pool lock; the dispatcher's readers (pickShard,
+	// snapshot under the dispatcher lock; its readers (pickShard,
 	// available, estimateWait) load it lock-free, so membership churn
 	// never blocks the hot path.
 	shardsv atomic.Value
@@ -65,10 +65,8 @@ type replicaSet struct {
 	// spread session streams across replicas and workers.
 	rr atomic.Uint64
 
-	// dec is the set's continuous decode loop, attached by startDecodeLoop
-	// when the pool wires the shards. Nil on sets built outside the pool
-	// (tests), which fall back to inline serialized decode.
-	dec *decodeState
+	// loop is the set's dispatch queue, run by the dispatcher.
+	loop setLoop
 }
 
 // shards returns the current shard snapshot (nil while building or after
@@ -91,17 +89,22 @@ func (s *replicaSet) remoteWorkers() []*worker {
 	return ws
 }
 
-// pickShard chooses the shard the next micro-batch runs on: the
-// available shard with the fewest queued batches, ties broken
-// round-robin so an idle fleet still rotates through every lane. Returns
-// nil when every shard's backend is unavailable.
-func (s *replicaSet) pickShard() *shard {
-	return s.pickShardExcluding(nil)
+// pick chooses the shard the next batch of kind runs on, never skip
+// (the lane a rerouted batch failed on): pickShard's rule for one-shot
+// ops, pickShardDecode's for decode steps. A busy result means the batch
+// waits for that shard; nil means no eligible shard exists.
+func (s *replicaSet) pick(kind int, skip *shard) *shard {
+	if kind == kindDecode {
+		return s.pickShardDecode(skip)
+	}
+	return s.pickShard(skip)
 }
 
-// pickShardExcluding is pickShard skipping one shard — the lane a batch
-// just failed on, so a reroute lands somewhere else.
-func (s *replicaSet) pickShardExcluding(skip *shard) *shard {
+// pickShard chooses the shard a one-shot batch runs on: the available
+// shard with the fewest batches in flight, ties broken round-robin so an
+// idle fleet still rotates through every lane. Returns nil when every
+// shard other than skip is unavailable.
+func (s *replicaSet) pickShard(skip *shard) *shard {
 	shards := s.shards()
 	if len(shards) == 0 {
 		return nil
@@ -121,36 +124,48 @@ func (s *replicaSet) pickShardExcluding(skip *shard) *shard {
 	return best
 }
 
-// pickShardDecode chooses the lane a continuous-decode batch runs on.
-// Local lanes execute directly on the sessions' stream state — the
-// bit-identical path — so an idle local lane always wins. When every
-// local lane is busy, float-mode sets may offload to a remote worker
-// (the wire round-trips float32 exactly); quantized sets never do,
-// because a quantized worker re-quantizes key norms on ingest where the
-// stream stored them raw, and the divergence would break decode's
-// bit-identity guarantee. Returns nil when no eligible lane exists.
-func (s *replicaSet) pickShardDecode() *shard {
+// pickShardDecode chooses the lane a session decode batch runs on,
+// never skip. Local lanes execute directly on the sessions' stream state
+// — the bit-identical path — so an idle local lane always wins, and a
+// local lane busy with decode is waited for: a remote lane would ship
+// every session's whole prefix to save one batch's wait. Only when every
+// local lane is busy with one-shot ops, or the set has none, may a
+// float-mode set offload to a remote worker (the wire round-trips
+// float32 exactly); quantized sets never do, because a quantized worker
+// re-quantizes key norms on ingest where the stream stored them raw, and
+// the divergence would break decode's bit-identity guarantee. Returns
+// nil when no eligible lane exists. Callers hold dispatcher.mu, which
+// guards shard.kind.
+func (s *replicaSet) pickShardDecode(skip *shard) *shard {
 	shards := s.shards()
-	var bestLocal *shard
-	var bestDepth int64
+	var busyLocal *shard
+	decoding := false
 	for _, sh := range shards[:min(s.local, len(shards))] {
-		if !sh.backend.available() {
+		if sh == skip || !sh.backend.available() {
 			continue
 		}
-		d := sh.depth.Load()
-		if d == 0 {
+		if sh.depth.Load() == 0 {
 			return sh
 		}
-		if bestLocal == nil || d < bestDepth {
-			bestLocal, bestDepth = sh, d
-		}
+		busyLocal = sh
+		decoding = decoding || sh.kind == kindDecode
 	}
-	if !s.opts.Quantized {
-		if sh := s.pickShard(); sh != nil && (bestLocal == nil || sh.depth.Load() < bestDepth) {
+	if !s.opts.Quantized && !decoding {
+		if sh := s.pickShard(skip); sh != nil && (busyLocal == nil || sh.depth.Load() == 0) {
 			return sh
 		}
 	}
-	return bestLocal
+	return busyLocal
+}
+
+// idle reports whether no shard has a batch in flight.
+func (s *replicaSet) idle() bool {
+	for _, sh := range s.shards() {
+		if sh.depth.Load() > 0 {
+			return false
+		}
+	}
+	return true
 }
 
 // available reports whether any shard can currently take a batch.
@@ -192,8 +207,7 @@ func (s *replicaSet) sessionTarget() (*elsa.Engine, *worker) {
 // differently-configured requests reuse engines instead of re-running the
 // projection draw and θ_bias calibration in elsa.New on every request.
 // The pool is bounded: beyond maxEntries the least-recently-used set is
-// evicted (its shards keep draining already-dispatched batches and are
-// closed with the pool).
+// evicted, and its loop stops once the work already queued on it is done.
 type enginePool struct {
 	replicas   int
 	maxEntries int
@@ -202,10 +216,8 @@ type enginePool struct {
 	metrics    *Metrics
 
 	mu      sync.Mutex
-	closed  bool                           // no more shards may start
 	entries map[elsa.Options]*list.Element // value: *replicaSet
 	lru     *list.List                     // front = most recently used
-	retired []*replicaSet                  // evicted sets, drained at close
 }
 
 func newEnginePool(replicas, maxEntries int, disp *dispatcher, fleet *workerSet, m *Metrics) *enginePool {
@@ -240,7 +252,7 @@ func (p *enginePool) get(opts elsa.Options) (*replicaSet, error) {
 	for len(p.entries) >= p.maxEntries {
 		p.evictLRULocked()
 	}
-	set := &replicaSet{opts: opts, ready: make(chan struct{})}
+	set := &replicaSet{opts: opts, ready: make(chan struct{}), loop: setLoop{wake: make(chan struct{}, 1)}}
 	p.entries[opts] = p.lru.PushFront(set)
 	p.mu.Unlock()
 
@@ -255,16 +267,12 @@ func (p *enginePool) get(opts elsa.Options) (*replicaSet, error) {
 		workers := p.fleet.snapshot()
 		shards := make([]*shard, 0, set.local+len(workers))
 		for i := 0; i < set.local; i++ {
-			shards = append(shards, newShard(i, set, &localBackend{eng: set.engines[i], workers: p.disp.workers}, p.disp.maxQueue))
+			shards = append(shards, newShard(i, set, &localBackend{eng: set.engines[i], workers: p.disp.workers}))
 		}
 		for k, w := range workers {
-			shards = append(shards, newShard(set.local+k, set, &remoteBackend{w: w, opts: opts}, p.disp.maxQueue))
+			shards = append(shards, newShard(set.local+k, set, &remoteBackend{w: w, opts: opts}))
 		}
-		set.shardsv.Store(shards)
-		for _, sh := range shards {
-			p.disp.startShard(sh)
-		}
-		p.disp.startDecodeLoop(set)
+		p.disp.startSet(set, shards)
 		close(set.ready)
 		p.mu.Unlock()
 	} else {
@@ -287,14 +295,11 @@ func (p *enginePool) get(opts elsa.Options) (*replicaSet, error) {
 // attachWorker gives every live replica set a dispatch lane to a newly
 // joined worker, so it starts receiving micro-batches without a frontend
 // restart. Sets still building are skipped: their build snapshots the
-// fleet under the same lock and will include the worker. Retired sets
+// fleet under the same lock and will include the worker. Evicted sets
 // are skipped too — they only drain.
 func (p *enginePool) attachWorker(w *worker) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	if p.closed {
-		return
-	}
 	for _, el := range p.entries {
 		set := el.Value.(*replicaSet)
 		select {
@@ -316,11 +321,7 @@ func (p *enginePool) attachWorker(w *worker) {
 		if already {
 			continue
 		}
-		sh := newShard(len(shards), set, &remoteBackend{w: w, opts: set.opts}, p.disp.maxQueue)
-		next := make([]*shard, len(shards), len(shards)+1)
-		copy(next, shards)
-		set.shardsv.Store(append(next, sh))
-		p.disp.startShard(sh)
+		p.disp.addShard(set, newShard(len(shards), set, &remoteBackend{w: w, opts: set.opts}))
 	}
 }
 
@@ -345,9 +346,9 @@ func (p *enginePool) buildReplicas(opts elsa.Options) ([]*elsa.Engine, error) {
 	return engines, nil
 }
 
-// evictLRULocked retires the least-recently-used set. Its shards stay
-// alive so batches already routed to them still complete; closeShards
-// shuts them down with the pool. Callers hold p.mu.
+// evictLRULocked drops the least-recently-used set and retires its
+// loop: work already queued on it still completes, then its loop and
+// shard goroutines exit. Callers hold p.mu.
 func (p *enginePool) evictLRULocked() {
 	back := p.lru.Back()
 	if back == nil {
@@ -356,7 +357,7 @@ func (p *enginePool) evictLRULocked() {
 	set := back.Value.(*replicaSet)
 	p.lru.Remove(back)
 	delete(p.entries, set.opts)
-	p.retired = append(p.retired, set)
+	p.disp.retire(set)
 	p.metrics.ObserveEngineEviction()
 }
 
@@ -365,25 +366,4 @@ func (p *enginePool) size() int {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	return len(p.entries)
-}
-
-// closeShards closes every shard queue — live and retired — so the shard
-// loops exit, and bars attachWorker from starting new lanes afterwards.
-// Call only after the dispatcher has drained (no batch will be enqueued
-// again).
-func (p *enginePool) closeShards() {
-	p.mu.Lock()
-	p.closed = true
-	sets := make([]*replicaSet, 0, len(p.entries)+len(p.retired))
-	for _, el := range p.entries {
-		sets = append(sets, el.Value.(*replicaSet))
-	}
-	sets = append(sets, p.retired...)
-	p.mu.Unlock()
-	for _, set := range sets {
-		<-set.ready
-		for _, sh := range set.shards() {
-			close(sh.queue)
-		}
-	}
 }

@@ -60,9 +60,8 @@ func postAttend(t *testing.T, client *http.Client, url string, req AttendRequest
 // is byte-identical to an unbatched Engine.Attend on the same inputs.
 func TestLoadGeneratorBatchingAndCorrectness(t *testing.T) {
 	srv := New(Config{
-		BatchWindow: 20 * time.Millisecond,
-		MaxBatch:    64,
-		MaxQueue:    2048,
+		MaxBatch: 64,
+		MaxQueue: 2048,
 	})
 	defer srv.Close()
 	ts := httptest.NewServer(srv)
@@ -167,7 +166,7 @@ func TestLoadGeneratorBatchingAndCorrectness(t *testing.T) {
 // TestCalibratedThresholdIsSharedAndEchoed checks p > 0 requests calibrate
 // once per (engine, p), share the cached threshold, and echo it.
 func TestCalibratedThresholdIsSharedAndEchoed(t *testing.T) {
-	srv := New(Config{BatchWindow: time.Millisecond, MaxQueue: 64})
+	srv := New(Config{MaxQueue: 64})
 	defer srv.Close()
 	ts := httptest.NewServer(srv)
 	defer ts.Close()
@@ -214,7 +213,7 @@ func TestCalibratedThresholdIsSharedAndEchoed(t *testing.T) {
 }
 
 func TestBadRequestsAreRejected(t *testing.T) {
-	srv := New(Config{BatchWindow: time.Millisecond})
+	srv := New(Config{})
 	defer srv.Close()
 	ts := httptest.NewServer(srv)
 	defer ts.Close()
@@ -259,7 +258,7 @@ func TestBadRequestsAreRejected(t *testing.T) {
 }
 
 func TestHealthzAndMetricsEndpoints(t *testing.T) {
-	srv := New(Config{BatchWindow: time.Millisecond})
+	srv := New(Config{})
 	defer srv.Close()
 	ts := httptest.NewServer(srv)
 	defer ts.Close()
@@ -313,11 +312,10 @@ func TestHealthzAndMetricsEndpoints(t *testing.T) {
 	}
 }
 
-// TestRequestTimeoutAnswers504 holds a request in a long batching window
-// with a deadline far shorter than the window.
+// TestRequestTimeoutAnswers504 holds a request on a busy shard with a
+// deadline far shorter than the hold.
 func TestRequestTimeoutAnswers504(t *testing.T) {
 	srv := New(Config{
-		BatchWindow:    500 * time.Millisecond,
 		RequestTimeout: 10 * time.Millisecond,
 	})
 	defer srv.Close()
@@ -326,19 +324,22 @@ func TestRequestTimeoutAnswers504(t *testing.T) {
 
 	rng := rand.New(rand.NewSource(17))
 	q, k, v := genOp(rng, 2, 4)
-	resp, raw := postAttend(t, ts.Client(), ts.URL, AttendRequest{Q: q, K: k, V: v})
+	req := AttendRequest{Q: q, K: k, V: v}
+	hold := holdAttendSet(t, srv, req)
+	defer hold.open()
+	resp, raw := postAttend(t, ts.Client(), ts.URL, req)
 	if resp.StatusCode != http.StatusGatewayTimeout {
 		t.Fatalf("status %d (%s), want 504", resp.StatusCode, raw)
 	}
 }
 
-// TestBackpressure429 fills the bounded queue inside a long window and
+// TestBackpressure429 fills the bounded queue behind held shards and
 // checks the overflow request is shed.
 func TestBackpressure429(t *testing.T) {
 	srv := New(Config{
-		BatchWindow: time.Second,
-		MaxBatch:    64,
-		MaxQueue:    2,
+		MaxBatch: 64,
+		MaxQueue: 2,
+		Replicas: 1,
 	})
 	defer srv.Close()
 	ts := httptest.NewServer(srv)
@@ -347,10 +348,16 @@ func TestBackpressure429(t *testing.T) {
 	rng := rand.New(rand.NewSource(19))
 	q, k, v := genOp(rng, 2, 4)
 	req := AttendRequest{Q: q, K: k, V: v}
+	hold := holdAttendSet(t, srv, req)
+	defer hold.open()
 
-	// Two requests occupy the queue for the whole window.
+	// A blocker occupies the shard; two requests then occupy the queue
+	// for as long as it is held.
 	var wg sync.WaitGroup
-	for i := 0; i < 2; i++ {
+	for i := 0; i < 3; i++ {
+		if i == 1 {
+			hold.waitEntered(t, 1)
+		}
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
@@ -361,34 +368,23 @@ func TestBackpressure429(t *testing.T) {
 		}()
 	}
 	// Wait until both are actually resident.
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		srv.disp.mu.Lock()
-		n := srv.disp.queued
-		srv.disp.mu.Unlock()
-		if n == 2 {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatal("queue never filled")
-		}
-		time.Sleep(time.Millisecond)
-	}
+	waitQueued(t, srv.disp, 2)
 	resp, raw := postAttend(t, ts.Client(), ts.URL, req)
 	if resp.StatusCode != http.StatusTooManyRequests {
 		t.Fatalf("overflow request: status %d (%s), want 429", resp.StatusCode, raw)
 	}
+	hold.open()
 	wg.Wait()
 }
 
-// TestGracefulCloseDrainsPending verifies Close dispatches a half-full
-// window immediately and the waiting requests still succeed, while new
+// TestGracefulCloseDrainsPending verifies Close drains ops queued behind
+// a held shard and the waiting requests still succeed, while new
 // requests are refused with 503.
 func TestGracefulCloseDrainsPending(t *testing.T) {
 	srv := New(Config{
-		BatchWindow: 10 * time.Second, // never fires during the test
-		MaxBatch:    64,
-		MaxQueue:    64,
+		MaxBatch: 64,
+		MaxQueue: 64,
+		Replicas: 1,
 	})
 	ts := httptest.NewServer(srv)
 	defer ts.Close()
@@ -396,9 +392,19 @@ func TestGracefulCloseDrainsPending(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))
 	q, k, v := genOp(rng, 2, 4)
 	req := AttendRequest{Q: q, K: k, V: v}
+	hold := holdAttendSet(t, srv, req)
+	defer hold.open()
 
 	const pending = 5
 	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() { // the blocker holding the only shard
+		defer wg.Done()
+		if resp, raw := postAttend(t, ts.Client(), ts.URL, req); resp.StatusCode != http.StatusOK {
+			t.Errorf("blocker: status %d (%s)", resp.StatusCode, raw)
+		}
+	}()
+	hold.waitEntered(t, 1)
 	codes := make([]int, pending)
 	sizes := make([]int, pending)
 	for i := 0; i < pending; i++ {
@@ -416,21 +422,30 @@ func TestGracefulCloseDrainsPending(t *testing.T) {
 			}
 		}(i)
 	}
+	waitQueued(t, srv.disp, pending)
+
+	// Close stops admission at once and then drains: the queued ops go
+	// out together as soon as the shard frees.
+	closed := make(chan struct{})
+	go func() {
+		srv.Close()
+		close(closed)
+	}()
 	deadline := time.Now().Add(5 * time.Second)
 	for {
 		srv.disp.mu.Lock()
-		n := srv.disp.queued
+		stopped := srv.disp.closed
 		srv.disp.mu.Unlock()
-		if n == pending {
+		if stopped {
 			break
 		}
 		if time.Now().After(deadline) {
-			t.Fatal("requests never queued")
+			t.Fatal("Close never stopped admission")
 		}
 		time.Sleep(time.Millisecond)
 	}
-
-	srv.Close() // drains: the pending batch must dispatch now, not in 10s
+	hold.open()
+	<-closed
 	wg.Wait()
 	for i, code := range codes {
 		if code != http.StatusOK {

@@ -22,10 +22,7 @@ import (
 // Config tunes the serving subsystem. Zero values select production-safe
 // defaults.
 type Config struct {
-	// BatchWindow is how long the dispatcher holds the first request of a
-	// micro-batch open for followers (default 2ms).
-	BatchWindow time.Duration
-	// MaxBatch dispatches a batch early once this many ops have coalesced
+	// MaxBatch caps how many ops one dispatched batch carries
 	// (default 64).
 	MaxBatch int
 	// MaxQueue bounds requests resident in the dispatcher; beyond it
@@ -70,7 +67,7 @@ type Config struct {
 	MaxSessionTokens int
 	// SerialDecode disables continuous decode batching: session queries
 	// attend inline under the session gate instead of coalescing on the
-	// per-replica decode loop. It exists as the baseline the decode
+	// replica set's dispatch loop. It exists as the baseline the decode
 	// benchmarks compare against; production leaves it false.
 	SerialDecode bool
 	// ExactBackend selects the server-wide default exact backend
@@ -146,9 +143,6 @@ type Config struct {
 }
 
 func (c *Config) setDefaults() {
-	if c.BatchWindow <= 0 {
-		c.BatchWindow = 2 * time.Millisecond
-	}
 	if c.MaxBatch <= 0 {
 		c.MaxBatch = 64
 	}
@@ -243,7 +237,7 @@ type Server struct {
 func New(cfg Config) *Server {
 	cfg.setDefaults()
 	m := NewMetrics()
-	disp := newDispatcher(cfg.BatchWindow, cfg.MaxBatch, cfg.MaxQueue, cfg.Workers,
+	disp := newDispatcher(cfg.MaxBatch, cfg.MaxQueue, cfg.Workers,
 		cfg.DispatchRetries, cfg.WorkerProbeInterval, classWeights(cfg.ClassWeights), m)
 	fleet := newWorkerSet(cfg.WorkerAddrs, cfg.WorkerProbeInterval, cfg.WorkerInFlight, cfg.WorkerFailLimit, m)
 	thr := newThresholdRegistry(cfg.StateDir, cfg.MaxThresholdFiles, m)
@@ -324,18 +318,15 @@ func (s *Server) Metrics() *Metrics { return s.metrics }
 
 // Close drains the serving stack in dependency order: the sweep loop and
 // drain watcher stop, the health-probe loops stop (no worker flips state
-// mid-drain), the dispatcher stops admission and flushes every pending
-// micro-batch, the pool closes all shard queues (live and retired) once
-// nothing can be enqueued again, and the shard loops are joined. Call
-// after http.Server.Shutdown so no handler is left waiting.
+// mid-drain), and the dispatcher stops admission, drains every queued
+// op through its set's loop and joins the loops and shard goroutines.
+// Call after http.Server.Shutdown so no handler is left waiting.
 func (s *Server) Close() {
 	close(s.stopc)
 	s.bg.Wait()
 	s.cluster.close()
 	s.fleet.close()
 	s.disp.close()
-	s.pool.closeShards()
-	s.disp.waitShards()
 }
 
 // Draining reports whether this server has been asked to drain.
@@ -690,7 +681,7 @@ func (s *Server) handleSessionQuery(w http.ResponseWriter, r *http.Request) {
 
 // handleSessionStep decodes one token for many sessions in a single
 // request. The whole wave is handed to the session registry's step,
-// which enqueues every entry on the continuous decode loop before one
+// which enqueues every entry on its set's dispatch loop before one
 // wakeup — so the wave (together with any other in-flight decode
 // traffic) coalesces into shared dispatches with no goroutine per
 // query. Results come back per entry, with per-entry errors so one

@@ -10,6 +10,7 @@ import (
 	"net/http"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 	"sync"
 	"time"
@@ -50,7 +51,7 @@ var (
 // contract, and a remote session's appends must observe each other's
 // prefix, so the gate serializes the session's own traffic either way.
 // The gate is a submit/complete handoff rather than a mutex: a query
-// holds it while its decode step is in flight on the continuous decode
+// holds it while its decode step is in flight on its set's dispatch
 // loop — so the loop can coalesce queries from many sessions into one
 // batch while each session's appends queue behind its own in-flight
 // query — and releases it only after the result is written back.
@@ -108,7 +109,7 @@ type session struct {
 	calibrated bool
 	// dec is the session's reusable decode job — its embedded dispatcher
 	// job and result channel included — so a steady-state decode query
-	// submits to the continuous loop without allocating.
+	// submits to the dispatch loop without allocating.
 	dec decodeJob
 
 	// lastUsed and el are owned by the registry lock, not the gate.
@@ -145,7 +146,7 @@ type sessionRegistry struct {
 	// placement. Nil falls back to the replica set's rotation.
 	place func(set *replicaSet, key string) (*elsa.Engine, *worker)
 	// disp, when set (before serving), routes local decode queries through
-	// the continuous decode loop so concurrently-ready sessions coalesce
+	// their set's dispatch loop so concurrently-ready sessions coalesce
 	// into one batch. serial forces the pre-batching inline path — the
 	// baseline the decode benchmarks compare against.
 	disp   *dispatcher
@@ -555,8 +556,8 @@ func (g *sessionRegistry) query(ctx context.Context, id string, q []float32, ov 
 // queryInto runs one decode step writing the context vector into dst
 // (grown only when too small): resolve the threshold if this is the
 // session's first calibrated query, then attend over the prefix at the
-// session threshold (or the query's own override) — through the
-// continuous decode loop, where concurrently-ready sessions coalesce
+// session threshold (or the query's own override) — through the set's
+// dispatch loop, where concurrently-ready sessions coalesce
 // into one batch, unless the registry is configured serial. Also
 // returns the size of the batch the query rode in. A caller recycling
 // dst across queries decodes with zero steady-state allocations.
@@ -610,7 +611,7 @@ func (g *sessionRegistry) queryHeld(ctx context.Context, s *session, dst []float
 		g.metrics.ObserveSessionQuery()
 		return out, stats, s.stream.Len(), thr, 1, nil
 	}
-	// Submit to the set's continuous decode loop with the resolved
+	// Submit to the set's dispatch loop with the resolved
 	// operating point pinned, so a mixed-session batch carries every op's
 	// threshold, p, and backend explicitly. The gate is held until the
 	// loop writes the result back into dec — the submit/complete handoff.
@@ -692,9 +693,9 @@ func (g *sessionRegistry) spillIdle() {
 		if now.Sub(s.lastUsed) < g.spillAfter {
 			break // LRU order: everything nearer the front is younger
 		}
-		if s.remote == nil && !s.spilled {
-			idle = append(idle, s)
-		}
+		// remote and spilled change under the session gate, not g.mu:
+		// spillHeld checks them once the gate is held.
+		idle = append(idle, s)
 	}
 	g.mu.Unlock()
 	for _, s := range idle {
@@ -1109,15 +1110,14 @@ type stepEntry struct {
 // step decodes one token for every entry as a single wave. All session
 // gates are acquired first — in session-ID order, so two overlapping
 // waves cannot deadlock on each other's entries — then every local
-// entry enqueues on its set's continuous decode loop and each touched
-// loop is woken exactly once, after the whole wave is queued. The loop's
+// entry enqueues on its set's dispatch loop and each touched loop is
+// woken exactly once, after the whole wave is queued. The loop's
 // next harvest therefore sees the full wave (plus any per-query decode
 // traffic already pending) as one batch, instead of the wave trickling
 // in one scheduler pass at a time; and the wave needs no goroutine per
 // entry, so the per-token cost of a step request is the batch's shared
-// dispatch plus one result receive. Remote-pinned sessions, a serial
-// registry, and sets without a loop fall back to the same inline paths
-// a lone query takes.
+// dispatch plus one result receive. Remote-pinned sessions and a serial
+// registry fall back to the same inline paths a lone query takes.
 func (g *sessionRegistry) step(ctx context.Context, entries []stepEntry, deadline time.Time) {
 	// Phase 1: resolve and lock. Duplicate IDs are refused up front — the
 	// second acquire would otherwise wait on a gate this same wave holds.
@@ -1154,7 +1154,7 @@ func (g *sessionRegistry) step(ctx context.Context, entries []stepEntry, deadlin
 	// Phase 2: submit. Coalescable entries enqueue without waking the
 	// loop yet; everything else runs inline and releases its gate now.
 	pending := make([]bool, len(entries))
-	var woken []*decodeState
+	var woken []*replicaSet
 	for i := range entries {
 		e := &entries[i]
 		s := held[i]
@@ -1190,8 +1190,7 @@ func (g *sessionRegistry) step(ctx context.Context, entries []stepEntry, deadlin
 			held[i] = nil
 			continue
 		}
-		ds := s.set.dec
-		if g.serial || g.disp == nil || ds == nil {
+		if g.serial || g.disp == nil {
 			ov := e.Ov
 			ov.Backend = backend
 			out, stats, err := s.stream.QueryOverrides(nil, e.Q, ov, s.thr)
@@ -1207,7 +1206,7 @@ func (g *sessionRegistry) step(ctx context.Context, entries []stepEntry, deadlin
 		}
 		dec := &s.dec
 		dec.stream, dec.q, dec.thr, dec.p, dec.backend, dec.out = s.stream, e.Q, thr, s.p, backend, nil
-		if err := g.disp.enqueueDecode(ctx, ds, s.set, dec, s.class, deadline); err != nil {
+		if err := g.disp.enqueueDecode(ctx, s.set, dec, s.class, deadline); err != nil {
 			dec.stream, dec.q = nil, nil
 			e.Err = err
 			s.release()
@@ -1216,19 +1215,12 @@ func (g *sessionRegistry) step(ctx context.Context, entries []stepEntry, deadlin
 		}
 		e.Thr = thr
 		pending[i] = true
-		already := false
-		for _, w := range woken {
-			if w == ds {
-				already = true
-				break
-			}
-		}
-		if !already {
-			woken = append(woken, ds)
+		if !slices.Contains(woken, s.set) {
+			woken = append(woken, s.set)
 		}
 	}
-	for _, ds := range woken {
-		ds.wakeup()
+	for _, set := range woken {
+		set.loop.wakeup()
 	}
 
 	// Phase 3: collect. Delivery is unconditional on every dispatcher

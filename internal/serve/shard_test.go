@@ -7,7 +7,6 @@ import (
 	"net/http/httptest"
 	"sync"
 	"testing"
-	"time"
 
 	"elsa"
 )
@@ -17,10 +16,9 @@ import (
 // the configuration's replicas rather than pinning one shard.
 func TestShardRoutingFairness(t *testing.T) {
 	srv := New(Config{
-		BatchWindow: 100 * time.Microsecond,
-		MaxBatch:    1, // every request dispatches as its own batch
-		MaxQueue:    1024,
-		Replicas:    3,
+		MaxBatch: 1, // every request dispatches as its own batch
+		MaxQueue: 1024,
+		Replicas: 3,
 	})
 	defer srv.Close()
 	ts := httptest.NewServer(srv)
@@ -65,13 +63,13 @@ func TestShardRoutingFairness(t *testing.T) {
 // TestMixedThresholdsShareDispatch checks ops pinned to different
 // operating points still coalesce into one micro-batch — each op carries
 // its own threshold — and each comes back identical to an unbatched
-// Attend at that op's threshold.
+// Attend at that op's threshold. The ops queue behind a held shard, so
+// they are harvested together once it frees.
 func TestMixedThresholdsShareDispatch(t *testing.T) {
 	srv := New(Config{
-		BatchWindow: 300 * time.Millisecond,
-		MaxBatch:    64,
-		MaxQueue:    64,
-		Replicas:    1,
+		MaxBatch: 64,
+		MaxQueue: 64,
+		Replicas: 1,
 	})
 	defer srv.Close()
 	ts := httptest.NewServer(srv)
@@ -82,6 +80,20 @@ func TestMixedThresholdsShareDispatch(t *testing.T) {
 		t.Fatal(err)
 	}
 	rng := rand.New(rand.NewSource(31))
+	bq, bk, bv := genOp(rng, 1, 4)
+	blocker := AttendRequest{Q: bq, K: bk, V: bv, HeadDim: testDim, Seed: testSeed}
+	hold := holdAttendSet(t, srv, blocker)
+	defer hold.open()
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		if resp, raw := postAttend(t, ts.Client(), ts.URL, blocker); resp.StatusCode != http.StatusOK {
+			t.Errorf("blocker: status %d (%s)", resp.StatusCode, raw)
+		}
+	}()
+	hold.waitEntered(t, 1)
+
 	thresholds := []float64{0.15, 0.75}
 	type result struct {
 		got  AttendResponse
@@ -89,7 +101,6 @@ func TestMixedThresholdsShareDispatch(t *testing.T) {
 		code int
 	}
 	results := make([]result, len(thresholds))
-	var wg sync.WaitGroup
 	for i, tv := range thresholds {
 		q, k, v := genOp(rng, 3, 24)
 		want, err := eng.Attend(q, k, v, elsa.Threshold{P: 1, T: tv})
@@ -111,6 +122,8 @@ func TestMixedThresholdsShareDispatch(t *testing.T) {
 			}
 		}(i)
 	}
+	waitQueued(t, srv.disp, len(thresholds))
+	hold.open()
 	wg.Wait()
 
 	for i, r := range results {
@@ -148,7 +161,7 @@ func TestStatePersistenceAcrossRestart(t *testing.T) {
 	req := AttendRequest{Q: q, K: k, V: v, HeadDim: testDim, Seed: testSeed, P: 1}
 
 	serveOnce := func() (AttendResponse, *Metrics) {
-		srv := New(Config{BatchWindow: time.Millisecond, StateDir: dir})
+		srv := New(Config{StateDir: dir})
 		defer srv.Close()
 		ts := httptest.NewServer(srv)
 		defer ts.Close()

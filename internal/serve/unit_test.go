@@ -5,25 +5,121 @@ import (
 	"errors"
 	"math/rand"
 	"strings"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"elsa"
 )
 
-// newTestStack builds a pool + dispatcher pair and tears the shard loops
+// newTestStack builds a pool + dispatcher pair and tears the set loops
 // down with the test.
-func newTestStack(t *testing.T, replicas, maxEntries int, window time.Duration, maxBatch, maxQueue int) (*enginePool, *dispatcher, *Metrics) {
+func newTestStack(t *testing.T, replicas, maxEntries, maxBatch, maxQueue int) (*enginePool, *dispatcher, *Metrics) {
 	t.Helper()
 	m := NewMetrics()
-	d := newDispatcher(window, maxBatch, maxQueue, 0, 2, time.Second, classWeights{}, m)
+	d := newDispatcher(maxBatch, maxQueue, 0, 2, time.Second, classWeights{}, m)
 	p := newEnginePool(replicas, maxEntries, d, newWorkerSet(nil, time.Second, 1, 3, m), m)
-	t.Cleanup(func() {
-		d.close()
-		p.closeShards()
-		d.waitShards()
-	})
+	t.Cleanup(d.close)
 	return p, d, m
+}
+
+// shardHold holds a replica set's shards busy on demand: every batch
+// blocks in its backend call until release is closed, which is how a
+// test stands in for a slow engine. It also records whether any batch
+// ever mixed one-shot ops with decode steps.
+type shardHold struct {
+	entered chan struct{} // one value per batch as it starts blocking
+	release chan struct{}
+	once    sync.Once
+	mixed   atomic.Bool
+}
+
+// holdShards wraps every shard backend of set; call it before any
+// traffic reaches the set. The shards stay held until open.
+func holdShards(set *replicaSet) *shardHold {
+	// entered is buffered past any number of batches a test holds, so a
+	// shard never blocks reporting one.
+	h := &shardHold{entered: make(chan struct{}, 1024), release: make(chan struct{})}
+	for _, sh := range set.shards() {
+		sh.backend = &heldBackend{shardBackend: sh.backend, h: h}
+	}
+	return h
+}
+
+// open releases every held batch, now and later. Idempotent.
+func (h *shardHold) open() { h.once.Do(func() { close(h.release) }) }
+
+// waitEntered blocks until n batches are being held.
+func (h *shardHold) waitEntered(t *testing.T, n int) {
+	t.Helper()
+	for i := 0; i < n; i++ {
+		select {
+		case <-h.entered:
+		case <-time.After(10 * time.Second):
+			t.Fatalf("only %d of %d batches reached a held shard", i, n)
+		}
+	}
+}
+
+// holdAttendSet builds (or finds) the replica set req routes to on srv
+// and holds its shards.
+func holdAttendSet(t *testing.T, srv *Server, req AttendRequest) *shardHold {
+	t.Helper()
+	set, err := srv.pool.get(req.options())
+	if err != nil {
+		t.Fatal(err)
+	}
+	return holdShards(set)
+}
+
+// waitQueued blocks until exactly n ops are queued in d.
+func waitQueued(t *testing.T, d *dispatcher, n int) {
+	t.Helper()
+	deadline := time.Now().Add(10 * time.Second)
+	for {
+		d.mu.Lock()
+		got := d.queued
+		d.mu.Unlock()
+		if got == n {
+			return
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("%d ops queued, want %d", got, n)
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
+// heldBackend is one shard's backend under a shardHold.
+type heldBackend struct {
+	shardBackend
+	h *shardHold
+}
+
+func (b *heldBackend) hold(jobs []*job, decode bool) {
+	for _, j := range jobs {
+		if (j.dec != nil) != decode {
+			b.h.mixed.Store(true)
+		}
+	}
+	select {
+	case <-b.h.release: // open: pass straight through
+		return
+	default:
+	}
+	b.h.entered <- struct{}{}
+	<-b.h.release
+}
+
+func (b *heldBackend) attendBatch(jobs []*job) ([]*elsa.Output, []error) {
+	b.hold(jobs, false)
+	return b.shardBackend.attendBatch(jobs)
+}
+
+func (b *heldBackend) decodeBatch(jobs []*job) []error {
+	b.hold(jobs, true)
+	return b.shardBackend.decodeBatch(jobs)
 }
 
 func TestNormalizeOptions(t *testing.T) {
@@ -45,7 +141,7 @@ func TestNormalizeOptions(t *testing.T) {
 }
 
 func TestEnginePoolReusesAndRetriesFailures(t *testing.T) {
-	p, _, _ := newTestStack(t, 2, 8, time.Millisecond, 64, 64)
+	p, _, _ := newTestStack(t, 2, 8, 64, 64)
 	a, err := p.get(normalizeOptions(elsa.Options{HeadDim: testDim, Seed: 1}, testDim))
 	if err != nil {
 		t.Fatal(err)
@@ -84,7 +180,7 @@ func TestEnginePoolReusesAndRetriesFailures(t *testing.T) {
 }
 
 func TestEnginePoolLRUEviction(t *testing.T) {
-	p, _, m := newTestStack(t, 1, 2, time.Millisecond, 64, 64)
+	p, _, m := newTestStack(t, 1, 2, 64, 64)
 	optsFor := func(seed int64) elsa.Options {
 		return normalizeOptions(elsa.Options{HeadDim: testDim, Seed: seed}, testDim)
 	}
@@ -126,7 +222,7 @@ func TestEnginePoolLRUEviction(t *testing.T) {
 }
 
 func TestDispatcherCanceledContext(t *testing.T) {
-	p, d, _ := newTestStack(t, 1, 8, time.Hour, 64, 8)
+	p, d, _ := newTestStack(t, 1, 8, 64, 8)
 	set, err := p.get(normalizeOptions(elsa.Options{HeadDim: testDim, Seed: testSeed}, testDim))
 	if err != nil {
 		t.Fatal(err)
@@ -142,7 +238,7 @@ func TestDispatcherCanceledContext(t *testing.T) {
 }
 
 func TestDispatcherRefusesWhenClosed(t *testing.T) {
-	p, d, _ := newTestStack(t, 1, 8, time.Millisecond, 64, 8)
+	p, d, _ := newTestStack(t, 1, 8, 64, 8)
 	set, err := p.get(normalizeOptions(elsa.Options{HeadDim: testDim, Seed: testSeed}, testDim))
 	if err != nil {
 		t.Fatal(err)
@@ -158,29 +254,32 @@ func TestDispatcherRefusesWhenClosed(t *testing.T) {
 }
 
 func TestMaxBatchDispatchesEarly(t *testing.T) {
-	// An hour-long window: only the max-batch fast path can dispatch.
-	p, d, m := newTestStack(t, 1, 8, time.Hour, 2, 16)
+	// Two ops are queued before the loop is woken: its one harvest must
+	// take a full batch of MaxBatch = 2 at once.
+	p, d, m := newTestStack(t, 1, 8, 2, 16)
 	set, err := p.get(normalizeOptions(elsa.Options{HeadDim: testDim, Seed: testSeed}, testDim))
 	if err != nil {
 		t.Fatal(err)
 	}
 	rng := rand.New(rand.NewSource(5))
-	done := make(chan error, 2)
-	for i := 0; i < 2; i++ {
+	jobs := make([]*job, 2)
+	for i := range jobs {
 		q, k, v := genOp(rng, 2, 4)
-		go func() {
-			_, _, _, err := d.submit(context.Background(), set, elsa.BatchOp{Q: q, K: k, V: v}, elsa.Exact(), ClassInteractive, time.Time{})
-			done <- err
-		}()
+		thr := elsa.Exact()
+		jobs[i] = &job{ctx: context.Background(), op: elsa.BatchOp{Q: q, K: k, V: v, Overrides: elsa.Overrides{Thr: &thr}}, result: make(chan jobResult, 1)}
+		if err := d.enqueue(set, jobs[i], time.Time{}); err != nil {
+			t.Fatal(err)
+		}
 	}
-	for i := 0; i < 2; i++ {
+	set.loop.wakeup()
+	for _, j := range jobs {
 		select {
-		case err := <-done:
-			if err != nil {
-				t.Fatal(err)
+		case r := <-j.result:
+			if r.err != nil {
+				t.Fatal(r.err)
 			}
 		case <-time.After(30 * time.Second):
-			t.Fatal("full batch never dispatched before the window")
+			t.Fatal("full batch never dispatched")
 		}
 	}
 	if mean := m.MeanBatchSize(); mean != 2 {

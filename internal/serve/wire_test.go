@@ -10,7 +10,6 @@ import (
 	"net/http/httptest"
 	"strings"
 	"testing"
-	"time"
 
 	"elsa/serve/client"
 )
@@ -56,7 +55,7 @@ func sameBits(t *testing.T, what string, a, b [][]float32) {
 
 func newWireServer(t *testing.T) *httptest.Server {
 	t.Helper()
-	srv := New(Config{BatchWindow: time.Millisecond})
+	srv := New(Config{})
 	ts := httptest.NewServer(srv)
 	t.Cleanup(func() {
 		ts.Close()

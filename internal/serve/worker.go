@@ -316,7 +316,7 @@ func (e *workerError) Unwrap() error { return e.err }
 // shardBackend is what a dispatch shard executes micro-batches through:
 // an in-process engine replica or a remote worker. attendBatch returns
 // one output or error per job, so a partially failed remote batch can
-// reroute only the failed ops. decodeBatch executes a continuous-decode
+// reroute only the failed ops. decodeBatch executes a session decode
 // batch — every job carries a decodeJob — writing results into each job's
 // decodeJob and returning one error per job.
 type shardBackend interface {
@@ -364,7 +364,7 @@ func (b *localBackend) attendBatch(jobs []*job) ([]*elsa.Output, []error) {
 	return outs, errs
 }
 
-// decodeBatch runs a continuous-decode batch directly on each session's
+// decodeBatch runs a session decode batch directly on each session's
 // stream state via AttendStreams: per-op pinned thresholds, per-stream
 // workspaces, results written straight into each session's recycled
 // buffer. Stream-state execution is what keeps a mixed-session batch
@@ -450,7 +450,7 @@ func (b *remoteBackend) attendBatch(jobs []*job) ([]*elsa.Output, []error) {
 
 // decodeBatch materializes each session's prefix onto the wire as a
 // one-query /v1/attend op with the session's pinned threshold, so decode
-// batches from the continuous loop ride the existing remote worker
+// batches from the dispatch loop ride the existing remote worker
 // protocol — fleet mode batches too. Rows() aliases the stream's storage
 // without copying elements, which is safe here because the session's
 // submit/complete handoff blocks appends while the query is in flight.

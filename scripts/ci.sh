@@ -41,6 +41,14 @@ echo "== session migration churn under -race =="
 # can never silently drop it, with -count=1 to defeat caching.
 go test -race -count=1 -run 'TestSessionExportImport|TestSessionSpill|TestMemberDrainRelocates|TestWorkerLossRecovers|TestZeroPinnedDrain' ./internal/serve/
 
+echo "== unified dispatch loop under -race =="
+# One loop per replica set runs one-shot ops and decode steps: run its
+# pacing, alternation, reroute, decode-placement, eviction-reclaim and
+# metrics-surface tests and the tests that hold a shard busy in place of
+# a batching window explicitly, with -count=1 so a -run filter above can
+# never satisfy them from cache.
+go test -race -count=1 -run 'TestPerShardPacingCoalesces|TestMixedKindsShareOneLoop|TestLoopAlternatesKinds|TestEvictedSetsAreReclaimed|TestEvictedSetAnswersQueued|TestMetricsFamiliesGolden|TestRequestTimeoutAnswers504|TestBackpressure429|TestGracefulCloseDrainsPending|TestMixedThresholdsShareDispatch|TestDeadlineShedSkipsQueueWait|TestWeightedDequeueDefersBackground|TestMaxBatchDispatchesEarly|TestDecodeContinuousMatchesSerial|TestRerouteKeepsOneBatchPerShard|TestDecodeWaitsForBusyLocalLane|TestWorkerDeathMidLoadReroutes|Test5xxBurstRerouted|TestFrontendMixesLocalAndRemote' ./internal/serve/
+
 echo "== autoscale loop under -race =="
 # The closed autoscale loop races the controller (polling the versioned
 # cluster view and driving drain/rebalance) against live traffic, session

@@ -20,7 +20,7 @@ import (
 // TestAttendRoundTrip drives the real serving stack through the client
 // and checks the result matches a direct engine call.
 func TestAttendRoundTrip(t *testing.T) {
-	srv := serve.New(serve.Config{BatchWindow: time.Millisecond})
+	srv := serve.New(serve.Config{})
 	defer srv.Close()
 	ts := httptest.NewServer(srv)
 	defer ts.Close()
@@ -220,7 +220,7 @@ func TestClusterParsesPreSchemaServers(t *testing.T) {
 // real frontend: schema_version 1, signals block present, targets
 // normalized into Members.
 func TestClusterTypedViewFromV1Server(t *testing.T) {
-	srv := serve.New(serve.Config{BatchWindow: time.Millisecond})
+	srv := serve.New(serve.Config{})
 	defer srv.Close()
 	ts := httptest.NewServer(srv)
 	defer ts.Close()
@@ -245,7 +245,7 @@ func TestClusterTypedViewFromV1Server(t *testing.T) {
 // whitespace, so the JSON decoder stops well before EOF and only the
 // client's own drain keeps the connection.
 func TestKeepAliveReusesOneConnection(t *testing.T) {
-	srv := serve.New(serve.Config{BatchWindow: time.Millisecond})
+	srv := serve.New(serve.Config{})
 	defer srv.Close()
 	padded := http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		srv.ServeHTTP(unsizedWriter{w}, r)
