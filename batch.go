@@ -51,16 +51,13 @@ func (op BatchOp) validate() error {
 	return op.checkBackend()
 }
 
-// run executes one validated op: through the selected exact backend, or
-// the filter pipeline with the resolved threshold.
+// run executes one validated op through the one attend path: an exact
+// backend the op names serves it as named; otherwise it runs at its
+// resolved threshold — the filter pipeline, or on a float engine the
+// exact kernel when that threshold disables the filter (p = 0).
 func (e *Engine) run(op BatchOp, thr Threshold) (*Output, error) {
-	switch op.Backend {
-	case BackendLinearScan:
-		return e.AttendLinearScan(op.Q, op.K, op.V)
-	case BackendScores:
-		return e.Attend(op.Q, op.K, op.V, op.Resolve(Exact()))
-	}
-	return e.Attend(op.Q, op.K, op.V, op.Resolve(thr))
+	out, _, err := e.attend(op.Q, op.K, op.V, op.Resolve(thr), op.Backend, false)
+	return out, err
 }
 
 // AttendBatch runs a batch of approximate-attention operations

@@ -22,10 +22,13 @@ type BenchRow struct {
 	D       int     `json:"d"`
 	P       float64 `json:"p"`
 	// NsPerOp is the measured software Attend wall time per op at this
-	// operating point; ExactNsPerOp is the same op with filtering off.
+	// operating point; ExactNsPerOp is the same op at p = 0, which on
+	// this float engine runs the exact kernel, not the filter.
 	NsPerOp      float64 `json:"ns_per_op"`
 	ExactNsPerOp float64 `json:"exact_ns_per_op"`
-	// SoftwareSpeedup is ExactNsPerOp / NsPerOp.
+	// SoftwareSpeedup is ExactNsPerOp / NsPerOp: ELSA against the exact
+	// kernel. Snapshots taken while p = 0 still ran the filter measured it
+	// against that slower path, so their speedups read higher.
 	SoftwareSpeedup float64 `json:"software_speedup"`
 	// CandidateFraction is the mean fraction of keys the filter admitted.
 	CandidateFraction float64 `json:"candidate_fraction"`

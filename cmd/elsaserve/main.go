@@ -138,7 +138,7 @@ func main() {
 	flag.DurationVar(&cfg.DrainTimeout, "drain-timeout", time.Minute, "force-expire sessions still pinned this long after POST /v1/drain (negative waits forever)")
 	flag.BoolVar(&cfg.CompatLegacy, "compat-legacy", false, "accept deprecated bare (pre-envelope) POST bodies; to be removed two releases after 0.9")
 	flag.BoolVar(&cfg.SyncMirror, "sync-mirror", false, "replay session shadow-mirror appends inline on the request path instead of batched/async")
-	flag.StringVar(&cfg.ExactBackend, "exact-backend", "", "default backend for exact ops (p=0) that don't pin one: 'scores' or 'linear-scan' (empty = scores pipeline)")
+	flag.StringVar(&cfg.ExactBackend, "exact-backend", "", "default backend for exact ops (p=0) that don't pin one: 'scores' or 'linear-scan' (empty = the exact kernel on float engines, the accelerator pipeline on quantized ones)")
 	autoscaleOn := flag.Bool("autoscale", false, "run the autoscale controller in-process: drain idle members, rebalance toward joiners, log scale-out advice")
 	autoscaleInterval := flag.Duration("autoscale-interval", 2*time.Second, "in-process autoscale polling cadence")
 	flag.Parse()

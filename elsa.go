@@ -174,64 +174,56 @@ func fromMatrix(m *tensor.Matrix) [][]float32 {
 	return out
 }
 
-// ExactAttention computes the reference softmax(scale·Q·Kᵀ)·V.
+// ErrNonFinite is returned, wrapped, by every attend entry point whose
+// output would hold a NaN or an infinity — finite inputs whose logits
+// overflow float32 (|q|·|k| beyond ~1e38) — instead of a NaN context with
+// a nil error. errors.Is finds it through AttendBatch's "op N:" wrap.
+var ErrNonFinite = attention.ErrNonFinite
+
+// matrices validates and converts one op's operands to the internal dense
+// representation.
+func (e *Engine) matrices(q, k, v [][]float32) (qm, km, vm *tensor.Matrix, err error) {
+	if qm, err = toMatrix("queries", q, e.opts.HeadDim); err != nil {
+		return nil, nil, nil, err
+	}
+	if km, err = toMatrix("keys", k, e.opts.HeadDim); err != nil {
+		return nil, nil, nil, err
+	}
+	if vm, err = toMatrix("values", v, e.opts.HeadDim); err != nil {
+		return nil, nil, nil, err
+	}
+	return qm, km, vm, nil
+}
+
+// ExactAttention computes the reference softmax(scale·Q·Kᵀ)·V on the raw
+// inputs (no input quantization, whatever the engine's mode) with the
+// exact kernel every p=0 op on a float engine runs.
 func (e *Engine) ExactAttention(q, k, v [][]float32) ([][]float32, error) {
-	qm, err := toMatrix("queries", q, e.opts.HeadDim)
-	if err != nil {
-		return nil, err
-	}
-	km, err := toMatrix("keys", k, e.opts.HeadDim)
-	if err != nil {
-		return nil, err
-	}
-	vm, err := toMatrix("values", v, e.opts.HeadDim)
+	qm, km, vm, err := e.matrices(q, k, v)
 	if err != nil {
 		return nil, err
 	}
 	if km.Rows != vm.Rows {
 		return nil, fmt.Errorf("elsa: %d keys but %d values", km.Rows, vm.Rows)
 	}
-	return fromMatrix(attention.Exact(qm, km, vm, e.opts.Scale)), nil
+	out := attention.Exact(qm, km, vm, e.opts.Scale)
+	if err := attention.CheckFinite(out); err != nil {
+		return nil, fmt.Errorf("elsa: %w", err)
+	}
+	return fromMatrix(out), nil
 }
 
 // AttendLinearScan computes exact attention through the linear-scan
 // backend: online softmax in one streaming pass over the keys, O(d) state
 // per query, no n×n score materialization. It is the second independent
-// exact implementation (ExactAttention materializes scores) and agrees
-// with it within the differential bound the fuzz suite pins. The Output
-// reports every key as a candidate (CandidateFraction 1, no fallbacks).
-// Callers select it per op via Overrides.Backend = BackendLinearScan.
+// exact implementation (the exact kernel behind ExactAttention and p=0
+// Attend is the first) and agrees with it within the differential bound
+// the fuzz suite pins. The Output reports every key as a candidate
+// (CandidateFraction 1, no fallbacks). Callers select it per op via
+// Overrides.Backend = BackendLinearScan.
 func (e *Engine) AttendLinearScan(q, k, v [][]float32) (*Output, error) {
-	qm, err := toMatrix("queries", q, e.opts.HeadDim)
-	if err != nil {
-		return nil, err
-	}
-	km, err := toMatrix("keys", k, e.opts.HeadDim)
-	if err != nil {
-		return nil, err
-	}
-	vm, err := toMatrix("values", v, e.opts.HeadDim)
-	if err != nil {
-		return nil, err
-	}
-	pre, err := e.engine.PreprocessExact(km, vm)
-	if err != nil {
-		return nil, fmt.Errorf("elsa: %w", err)
-	}
-	ws := e.getWorkspace()
-	res, err := e.engine.AttendLinearScanWith(ws, qm, pre)
-	if err != nil {
-		e.wsPool.Put(ws)
-		return nil, fmt.Errorf("elsa: %w", err)
-	}
-	out := &Output{
-		Context:            fromMatrix(res.Output),
-		CandidateFraction:  res.CandidateFraction(km.Rows),
-		CandidatesPerQuery: append([]int(nil), res.CandidateCounts...),
-		FallbackQueries:    res.FallbackQueries,
-	}
-	e.wsPool.Put(ws)
-	return out, nil
+	out, _, err := e.attend(q, k, v, Exact(), BackendLinearScan, false)
+	return out, err
 }
 
 // Sample is one calibration invocation: the query and key matrices of an
@@ -288,61 +280,87 @@ type Output struct {
 // Attend runs ELSA approximate self-attention with the given threshold. It
 // uses the workspace fast path: per-query candidate index lists are not
 // collected (Output does not expose them), so the steady-state query loop
-// allocates nothing.
+// allocates nothing. On a float engine a threshold that disables the
+// filter (Exact(), or any T < −1) runs the exact kernel instead: no key
+// or query is hashed, and every key is reported as a candidate.
 func (e *Engine) Attend(q, k, v [][]float32, thr Threshold) (*Output, error) {
-	res, _, err := e.attend(q, k, v, thr, false)
-	return res, err
+	out, _, err := e.attend(q, k, v, thr, BackendAuto, false)
+	return out, err
 }
 
-// attend is the shared attend implementation. With collect set the returned
-// attention.Result carries the per-query candidate lists (Evaluate needs
-// them for the fidelity comparison); without it the pooled
-// no-candidate-collection workspace path is used and the Result is nil.
-func (e *Engine) attend(q, k, v [][]float32, thr Threshold, collect bool) (*Output, *attention.Result, error) {
-	qm, err := toMatrix("queries", q, e.opts.HeadDim)
+// route resolves the backend that serves an op: an exact backend the op
+// names serves it as named; otherwise the filter pipeline does
+// (BackendAuto), unless the engine routes the threshold to the exact
+// kernel (BackendScores).
+func (e *Engine) route(backend string, thr Threshold) string {
+	if backend == BackendAuto && e.engine.RoutesExact(thr.T) {
+		return BackendScores
+	}
+	return backend
+}
+
+// attend is the one attend implementation behind Attend, AttendLinearScan,
+// Evaluate and AttendBatch. It stages the operands for the routed backend
+// — hashes and norms only for the filter pipeline — runs it in a pooled
+// no-candidate-collection workspace, and copies what Output exposes out
+// of the workspace-owned Result. With collect set it runs in a workspace
+// of its own instead and also returns the Result with every query's
+// candidate list (all keys on the exact backends), which Evaluate's
+// fidelity comparison needs.
+func (e *Engine) attend(q, k, v [][]float32, thr Threshold, backend string, collect bool) (*Output, *attention.Result, error) {
+	qm, km, vm, err := e.matrices(q, k, v)
 	if err != nil {
 		return nil, nil, err
 	}
-	km, err := toMatrix("keys", k, e.opts.HeadDim)
-	if err != nil {
-		return nil, nil, err
+	backend = e.route(backend, thr)
+	var pre *attention.Preprocessed
+	if backend == BackendAuto {
+		pre, err = e.engine.Preprocess(km, vm)
+	} else {
+		pre, err = e.engine.PreprocessExact(km, vm)
 	}
-	vm, err := toMatrix("values", v, e.opts.HeadDim)
-	if err != nil {
-		return nil, nil, err
-	}
-	pre, err := e.engine.Preprocess(km, vm)
 	if err != nil {
 		return nil, nil, fmt.Errorf("elsa: %w", err)
 	}
-	if !collect {
-		ws := e.getWorkspace()
-		res, err := e.engine.AttendWith(ws, qm, pre, thr.T)
-		if err != nil {
-			e.wsPool.Put(ws)
-			return nil, nil, fmt.Errorf("elsa: %w", err)
-		}
-		// The Result is workspace-owned, so copy what Output exposes
-		// before the workspace returns to the pool.
-		out := &Output{
-			Context:            fromMatrix(res.Output),
-			CandidateFraction:  res.CandidateFraction(km.Rows),
-			CandidatesPerQuery: append([]int(nil), res.CandidateCounts...),
-			FallbackQueries:    res.FallbackQueries,
-		}
-		e.wsPool.Put(ws)
-		return out, nil, nil
+	var ws *attention.Workspace
+	if collect {
+		ws = attention.NewWorkspace(e.engine)
+	} else {
+		ws = e.getWorkspace()
+		defer e.wsPool.Put(ws)
 	}
-	res, err := e.engine.Attend(qm, pre, thr.T)
+	var res *attention.Result
+	switch backend {
+	case BackendScores:
+		res, err = e.engine.AttendExactWith(ws, qm, pre)
+	case BackendLinearScan:
+		res, err = e.engine.AttendLinearScanWith(ws, qm, pre)
+	default:
+		res, err = e.engine.AttendWith(ws, qm, pre, thr.T)
+	}
 	if err != nil {
 		return nil, nil, fmt.Errorf("elsa: %w", err)
 	}
-	return &Output{
+	out := &Output{
 		Context:            fromMatrix(res.Output),
 		CandidateFraction:  res.CandidateFraction(km.Rows),
-		CandidatesPerQuery: res.CandidateCounts,
+		CandidatesPerQuery: append([]int(nil), res.CandidateCounts...),
 		FallbackQueries:    res.FallbackQueries,
-	}, res, nil
+	}
+	if !collect {
+		return out, nil, nil
+	}
+	if res.Candidates == nil {
+		all := make([]int, km.Rows)
+		for y := range all {
+			all[y] = y
+		}
+		res.Candidates = make([][]int, qm.Rows)
+		for i := range res.Candidates {
+			res.Candidates[i] = all
+		}
+	}
+	return out, res, nil
 }
 
 // Fidelity compares an approximate run against exact attention on the same
@@ -359,13 +377,11 @@ type Fidelity struct {
 // Evaluate runs approximate attention and measures its fidelity against the
 // exact operator in one call.
 func (e *Engine) Evaluate(q, k, v [][]float32, thr Threshold) (*Output, Fidelity, error) {
-	out, res, err := e.attend(q, k, v, thr, true)
+	out, res, err := e.attend(q, k, v, thr, BackendAuto, true)
 	if err != nil {
 		return nil, Fidelity{}, err
 	}
-	qm, _ := toMatrix("queries", q, e.opts.HeadDim)
-	km, _ := toMatrix("keys", k, e.opts.HeadDim)
-	vm, _ := toMatrix("values", v, e.opts.HeadDim)
+	qm, km, vm, _ := e.matrices(q, k, v)
 	exactOut, exactScores := attention.ExactWithScores(qm, km, vm, e.opts.Scale)
 	fid, err := attention.Compare(exactOut, exactScores, res)
 	if err != nil {
@@ -383,15 +399,7 @@ func (e *Engine) Evaluate(q, k, v [][]float32, thr Threshold) (*Output, Fidelity
 // masking: query i attends only keys 0..i. Queries, keys and values must
 // have the same row count.
 func (e *Engine) AttendCausal(q, k, v [][]float32, thr Threshold) (*Output, error) {
-	qm, err := toMatrix("queries", q, e.opts.HeadDim)
-	if err != nil {
-		return nil, err
-	}
-	km, err := toMatrix("keys", k, e.opts.HeadDim)
-	if err != nil {
-		return nil, err
-	}
-	vm, err := toMatrix("values", v, e.opts.HeadDim)
+	qm, km, vm, err := e.matrices(q, k, v)
 	if err != nil {
 		return nil, err
 	}

@@ -101,6 +101,9 @@ func (e *Engine) BlockwiseAttend(q, keys, values *tensor.Matrix, blockSize int, 
 			out[j] = float32(float64(v) * inv)
 		}
 	}
+	if err := CheckFinite(res.Output); err != nil {
+		return nil, err
+	}
 	return res, nil
 }
 

@@ -102,5 +102,8 @@ func (e *Engine) AttendCausal(q *tensor.Matrix, p *Preprocessed, t float64) (*Re
 	flat := append([]int(nil), ws.candFlat...)
 	res.Candidates = candidateViews(nil, res.CandidateCounts, flat)
 	e.putWorkspace(ws)
+	if err := CheckFinite(res.Output); err != nil {
+		return nil, err
+	}
 	return res, nil
 }

@@ -2,6 +2,7 @@ package attention
 
 import (
 	"elsa/internal/fixed"
+	"elsa/internal/tensor"
 )
 
 // ColdPrefix is the demoted front of a stream's key/value storage: the
@@ -46,28 +47,48 @@ func newColdPrefix(d, capRows int) *ColdPrefix {
 
 // keyRow resolves logical key row y: a direct hot-tail view, or the cold
 // row dequantized into the workspace's scratch buffer (overwritten by the
-// next cold fetch on the same workspace).
+// next cold fetch on the same workspace). ws may be nil when p has no
+// cold prefix.
 func (p *Preprocessed) keyRow(y int, ws *Workspace) []float32 {
-	if c := p.Cold; c != nil {
-		cn := c.Keys.Rows()
-		if y < cn {
-			c.Keys.DecodeInto(ws.coldKey, y)
-			return ws.coldKey
-		}
-		y -= cn
+	if p.Cold == nil {
+		return p.Keys.Row(y)
 	}
-	return p.Keys.Row(y)
+	return rowAt(p.Keys, p.Cold.Keys, y, ws.coldKey)
 }
 
 // valueRow resolves logical value row y, mirroring keyRow.
 func (p *Preprocessed) valueRow(y int, ws *Workspace) []float32 {
-	if c := p.Cold; c != nil {
-		cn := c.Values.Rows()
+	if p.Cold == nil {
+		return p.Values.Row(y)
+	}
+	return rowAt(p.Values, p.Cold.Values, y, ws.coldVal)
+}
+
+// rowAt resolves logical row y of one side (keys or values) of a prefix
+// whose oldest rows live in cold (nil when nothing is demoted) and the
+// rest in hot: a view of the hot row, or the cold row decoded into buf.
+func rowAt(hot *tensor.Matrix, cold *fixed.PackedCodes, y int, buf []float32) []float32 {
+	if cold != nil {
+		cn := cold.Rows()
 		if y < cn {
-			c.Values.DecodeInto(ws.coldVal, y)
-			return ws.coldVal
+			buf = buf[:hot.Cols]
+			cold.DecodeInto(buf, y)
+			return buf
 		}
 		y -= cn
 	}
-	return p.Values.Row(y)
+	return hot.Row(y)
+}
+
+// rows4 resolves logical rows y..y+3 like rowAt, decoding cold rows into
+// four disjoint d-wide slots of buf (4·d elements; unused when cold is
+// nil), so all four views stay valid together.
+func rows4(hot *tensor.Matrix, cold *fixed.PackedCodes, y int, buf []float32) (r0, r1, r2, r3 []float32) {
+	d := hot.Cols
+	if cold == nil {
+		rows := hot.Data[y*d : (y+4)*d]
+		return rows[:d], rows[d : 2*d], rows[2*d : 3*d], rows[3*d:]
+	}
+	return rowAt(hot, cold, y, buf[:d]), rowAt(hot, cold, y+1, buf[d:2*d]),
+		rowAt(hot, cold, y+2, buf[2*d:3*d]), rowAt(hot, cold, y+3, buf[3*d:4*d])
 }

@@ -256,24 +256,9 @@ func (e *Engine) Preprocess(keys, values *tensor.Matrix) (*Preprocessed, error) 
 // preprocessSetup validates shapes and finiteness and applies input
 // quantization, returning a Preprocessed with empty per-key slots.
 func (e *Engine) preprocessSetup(keys, values *tensor.Matrix) (*Preprocessed, error) {
-	if keys.Cols != e.cfg.D {
-		return nil, fmt.Errorf("attention: key dim %d, engine built for %d", keys.Cols, e.cfg.D)
-	}
-	if values.Rows != keys.Rows || values.Cols != keys.Cols {
-		return nil, fmt.Errorf("attention: value shape %dx%d does not match keys %dx%d",
-			values.Rows, values.Cols, keys.Rows, keys.Cols)
-	}
-	if err := validateFinite("key matrix", keys); err != nil {
+	keys, values, err := e.stageKV(keys, values)
+	if err != nil {
 		return nil, err
-	}
-	if err := validateFinite("value matrix", values); err != nil {
-		return nil, err
-	}
-	if e.cfg.Quantized {
-		keys = keys.Clone()
-		values = values.Clone()
-		fixed.QKV.QuantizeSlice(keys.Data)
-		fixed.QKV.QuantizeSlice(values.Data)
 	}
 	return &Preprocessed{
 		Keys:   keys,
@@ -282,6 +267,31 @@ func (e *Engine) preprocessSetup(keys, values *tensor.Matrix) (*Preprocessed, er
 		Packed: srp.NewPackedHashes(e.cfg.K, keys.Rows),
 		Norms:  make([]float64, keys.Rows),
 	}, nil
+}
+
+// stageKV validates the key and value matrices against the engine (shape,
+// finiteness) and, on a quantized engine, returns Q(1,5,3)-rounded copies.
+func (e *Engine) stageKV(keys, values *tensor.Matrix) (*tensor.Matrix, *tensor.Matrix, error) {
+	if keys.Cols != e.cfg.D {
+		return nil, nil, fmt.Errorf("attention: key dim %d, engine built for %d", keys.Cols, e.cfg.D)
+	}
+	if values.Rows != keys.Rows || values.Cols != keys.Cols {
+		return nil, nil, fmt.Errorf("attention: value shape %dx%d does not match keys %dx%d",
+			values.Rows, values.Cols, keys.Rows, keys.Cols)
+	}
+	if err := validateFinite("key matrix", keys); err != nil {
+		return nil, nil, err
+	}
+	if err := validateFinite("value matrix", values); err != nil {
+		return nil, nil, err
+	}
+	if e.cfg.Quantized {
+		keys = keys.Clone()
+		values = values.Clone()
+		fixed.QKV.QuantizeSlice(keys.Data)
+		fixed.QKV.QuantizeSlice(values.Data)
+	}
+	return keys, values, nil
 }
 
 // preprocessKey hashes key i and computes its norm (§IV-C's hash and norm
@@ -383,7 +393,8 @@ func (r *Result) CandidateFraction(n int) float64 {
 //
 // A query whose filter selects no key falls back to the key with the
 // highest approximate similarity so the output row is always defined; such
-// queries are counted in Result.FallbackQueries.
+// queries are counted in Result.FallbackQueries. An output that is not
+// finite (overflowing logits) returns ErrNonFinite.
 func (e *Engine) Attend(q *tensor.Matrix, p *Preprocessed, t float64) (*Result, error) {
 	if err := e.checkQuery(q); err != nil {
 		return nil, err
@@ -403,6 +414,9 @@ func (e *Engine) Attend(q *tensor.Matrix, p *Preprocessed, t float64) (*Result, 
 	flat := append([]int(nil), ws.candFlat...)
 	res.Candidates = candidateViews(nil, res.CandidateCounts, flat)
 	e.putWorkspace(ws)
+	if err := CheckFinite(res.Output); err != nil {
+		return nil, err
+	}
 	return res, nil
 }
 
@@ -411,7 +425,8 @@ func (e *Engine) Attend(q *tensor.Matrix, p *Preprocessed, t float64) (*Result, 
 // matrix, counts and candidate views) belong to ws, so a steady-state call
 // performs zero heap allocations. The Result is valid until the next
 // Attend/AttendWith call on the same workspace; callers that need it longer
-// must copy. Outputs are bit-identical to Attend.
+// must copy. Outputs are bit-identical to Attend. Like Attend, it returns
+// ErrNonFinite instead of a non-finite output.
 func (e *Engine) AttendWith(ws *Workspace, q *tensor.Matrix, p *Preprocessed, t float64) (*Result, error) {
 	if err := e.checkQuery(q); err != nil {
 		return nil, err
@@ -426,6 +441,9 @@ func (e *Engine) AttendWith(ws *Workspace, q *tensor.Matrix, p *Preprocessed, t 
 	if collect {
 		ws.views = candidateViews(ws.views, res.CandidateCounts, ws.candFlat)
 		res.Candidates = ws.views
+	}
+	if err := CheckFinite(res.Output); err != nil {
+		return nil, err
 	}
 	return res, nil
 }

@@ -1,10 +1,8 @@
 package attention
 
 import (
-	"fmt"
 	"math"
 
-	"elsa/internal/fixed"
 	"elsa/internal/tensor"
 )
 
@@ -137,27 +135,12 @@ func LinearScanWithExp(q, k, v *tensor.Matrix, scale float64, exp func(float64) 
 // shape/finiteness validation and input quantization as Preprocess, but no
 // hashing and no norms — exact backends never consult the filter. The
 // returned Preprocessed must not be fed to the filter pipeline (its hash
-// slots are nil); it exists so AttendLinearScanWith sees bit-identical
-// at-rest K/V to what Preprocess would have stored.
+// slots are nil); it exists so AttendExactWith and AttendLinearScanWith
+// see bit-identical at-rest K/V to what Preprocess would have stored.
 func (e *Engine) PreprocessExact(keys, values *tensor.Matrix) (*Preprocessed, error) {
-	if keys.Cols != e.cfg.D {
-		return nil, fmt.Errorf("attention: key dim %d, engine built for %d", keys.Cols, e.cfg.D)
-	}
-	if values.Rows != keys.Rows || values.Cols != keys.Cols {
-		return nil, fmt.Errorf("attention: value shape %dx%d does not match keys %dx%d",
-			values.Rows, values.Cols, keys.Rows, keys.Cols)
-	}
-	if err := validateFinite("key matrix", keys); err != nil {
+	keys, values, err := e.stageKV(keys, values)
+	if err != nil {
 		return nil, err
-	}
-	if err := validateFinite("value matrix", values); err != nil {
-		return nil, err
-	}
-	if e.cfg.Quantized {
-		keys = keys.Clone()
-		values = values.Clone()
-		fixed.QKV.QuantizeSlice(keys.Data)
-		fixed.QKV.QuantizeSlice(values.Data)
 	}
 	return &Preprocessed{Keys: keys, Values: values}, nil
 }
@@ -174,7 +157,8 @@ func (e *Engine) PreprocessExact(keys, values *tensor.Matrix) (*Preprocessed, er
 // The backend is float-exact regardless of Config.Quantized: queries are
 // staged through the same input quantizer as the filter path (so both
 // backends see identical inputs), but exponentials and accumulation use
-// float64, not the LUT units — it is an oracle, not a hardware model.
+// float64, not the LUT units — it is an oracle, not a hardware model. A
+// non-finite output returns ErrNonFinite.
 func (e *Engine) AttendLinearScanWith(ws *Workspace, q *tensor.Matrix, p *Preprocessed) (*Result, error) {
 	if err := e.checkQuery(q); err != nil {
 		return nil, err
@@ -188,6 +172,9 @@ func (e *Engine) AttendLinearScanWith(ws *Workspace, q *tensor.Matrix, p *Prepro
 		res.CandidateCounts[i] = n
 	}
 	res.TotalCandidates = qm.Rows * n
+	if err := CheckFinite(res.Output); err != nil {
+		return nil, err
+	}
 	return res, nil
 }
 

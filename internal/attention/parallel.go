@@ -80,6 +80,9 @@ func (e *Engine) AttendParallel(q *tensor.Matrix, p *Preprocessed, t float64, wo
 	}
 	out.Candidates = candidateViews(nil, out.CandidateCounts, flat)
 	e.putWorkspace(lead)
+	if err := CheckFinite(out.Output); err != nil {
+		return nil, err
+	}
 	return out, nil
 }
 

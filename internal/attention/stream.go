@@ -240,38 +240,6 @@ func (s *Stream) Keys() [][]float32 {
 	return out
 }
 
-// QueryLinearScan attends the single query vector q over the current
-// prefix through the exact linear-scan backend — every prefix key, online
-// softmax, no filter — writing the context vector into dst (grown only
-// when capacity falls short, like QueryWith). The scan iterates the same
-// logical rows with the same per-row float32 data whether a key is in the
-// hot tail or the cold store (cold rows decode deterministically through
-// the stream workspace), so a stream appended token-by-token answers
-// bit-identically to one-shot ExactLinearScan over the materialized
-// prefix, including across the cold-watermark demotion boundary. Zero
-// steady-state heap allocations, matching the QueryWith contract.
-func (s *Stream) QueryLinearScan(dst []float32, q []float32) ([]float32, QueryStats, error) {
-	d := s.engine.cfg.D
-	if s.n == 0 {
-		return dst, QueryStats{}, fmt.Errorf("attention: query on an empty stream")
-	}
-	if len(q) != d {
-		return dst, QueryStats{}, fmt.Errorf("attention: stream query dim %d, engine built for %d",
-			len(q), d)
-	}
-	s.qMat = tensor.Matrix{Rows: 1, Cols: d, Data: q}
-	res, err := s.engine.AttendLinearScanWith(s.ws, &s.qMat, s.snapshot())
-	if err != nil {
-		return dst, QueryStats{}, err
-	}
-	if cap(dst) < d {
-		dst = make([]float32, d)
-	}
-	dst = dst[:d]
-	copy(dst, res.Output.Row(0))
-	return dst, QueryStats{Candidates: s.n, Fallback: false}, nil
-}
-
 // QueryStats reports one streamed query's work.
 type QueryStats struct {
 	// Candidates is the number of prefix keys that survived the filter.
@@ -293,9 +261,49 @@ func (s *Stream) Query(q []float32, t float64) ([]float32, QueryStats, error) {
 // only when its capacity falls short of the head dimension and returned
 // resliced to exactly d elements. A decode loop that recycles one buffer
 // therefore performs zero steady-state heap allocations: the attend pass
-// runs entirely inside the stream's workspace (the PR-2 zero-alloc path)
-// and the output lands in the caller's memory.
+// runs entirely inside the stream's workspace and the output lands in the
+// caller's memory. When t disables the filter on a float engine
+// (Engine.RoutesExact) the query runs the exact kernel, exactly as
+// QueryExact does.
 func (s *Stream) QueryWith(dst []float32, q []float32, t float64) ([]float32, QueryStats, error) {
+	return s.query(dst, q, t, queryAuto)
+}
+
+// QueryExact attends q over the current prefix through the exact kernel
+// (AttendExactWith): every prefix key, nothing hashed, on any engine.
+// Rows are read by logical index through the stream workspace, hot tail
+// and cold prefix alike, so a stream answers bit-identically to one-shot
+// exact attention over its materialized prefix (Rows()), across
+// cold-watermark demotions too. Zero steady-state heap allocations, like
+// QueryWith.
+func (s *Stream) QueryExact(dst []float32, q []float32) ([]float32, QueryStats, error) {
+	return s.query(dst, q, 0, queryExact)
+}
+
+// QueryLinearScan attends q over the current prefix through the exact
+// linear-scan backend — every prefix key, online softmax, no filter —
+// with the same bit-identity to one-shot ExactLinearScan over the
+// materialized prefix, and the same zero-allocation contract, as
+// QueryExact.
+func (s *Stream) QueryLinearScan(dst []float32, q []float32) ([]float32, QueryStats, error) {
+	return s.query(dst, q, 0, queryLinearScan)
+}
+
+// queryBackend selects the attend pass behind one stream query.
+type queryBackend int
+
+const (
+	// queryAuto runs the filter pipeline at threshold t, or the exact
+	// kernel when the engine routes t to it.
+	queryAuto queryBackend = iota
+	queryExact
+	queryLinearScan
+)
+
+// query is the one stream query path: it checks the query, runs the
+// selected attend pass over the prefix snapshot inside the stream's
+// workspace, and copies the context vector into dst.
+func (s *Stream) query(dst []float32, q []float32, t float64, backend queryBackend) ([]float32, QueryStats, error) {
 	d := s.engine.cfg.D
 	if s.n == 0 {
 		return dst, QueryStats{}, fmt.Errorf("attention: query on an empty stream")
@@ -304,8 +312,20 @@ func (s *Stream) QueryWith(dst []float32, q []float32, t float64) ([]float32, Qu
 		return dst, QueryStats{}, fmt.Errorf("attention: stream query dim %d, engine built for %d",
 			len(q), d)
 	}
+	if backend == queryAuto && s.engine.RoutesExact(t) {
+		backend = queryExact
+	}
 	s.qMat = tensor.Matrix{Rows: 1, Cols: d, Data: q}
-	res, err := s.engine.AttendWith(s.ws, &s.qMat, s.snapshot(), t)
+	var res *Result
+	var err error
+	switch backend {
+	case queryExact:
+		res, err = s.engine.AttendExactWith(s.ws, &s.qMat, s.snapshot())
+	case queryLinearScan:
+		res, err = s.engine.AttendLinearScanWith(s.ws, &s.qMat, s.snapshot())
+	default:
+		res, err = s.engine.AttendWith(s.ws, &s.qMat, s.snapshot(), t)
+	}
 	if err != nil {
 		return dst, QueryStats{}, err
 	}

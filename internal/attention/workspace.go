@@ -27,7 +27,8 @@ type Workspace struct {
 	projOut []float32
 	// kronScratch is the ping-pong buffer for kron.ApplyTo intermediates.
 	kronScratch []float32
-	// cand, scores and weights are the per-query candidate pipeline.
+	// cand, scores and weights are the per-query candidate pipeline;
+	// the exact kernel keeps its logits and weights in scores.
 	cand    []int
 	scores  []float64
 	weights []float64
@@ -37,6 +38,10 @@ type Workspace struct {
 	// elements, so attending over a stream's demoted prefix stays
 	// allocation-free.
 	coldKey, coldVal []float32
+	// block receives four dequantized cold-prefix rows at once (4·d
+	// elements) for the exact kernel's blocked passes; allocated on first
+	// use over a cold prefix.
+	block []float32
 	// qq stages the quantized copy of the query matrix so Quantized-mode
 	// AttendWith avoids the per-call Clone.
 	qq    []float32

@@ -632,8 +632,9 @@ func checkFinite(rows ...[]float32) error {
 }
 
 // errNonFinite marks an attention output that is not finite, which
-// overflowing inputs can produce.
-var errNonFinite = errors.New("attention output is not finite")
+// overflowing inputs can produce. It is the engine's own typed error, so
+// an engine failure and a failed output check map to the same 422.
+var errNonFinite = elsa.ErrNonFinite
 
 // validate performs the shape checks the scheduler relies on, returning a
 // client-addressable error.

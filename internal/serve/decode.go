@@ -20,8 +20,8 @@ type decodeJob struct {
 	// op's threshold explicitly; p rides along for the wire.
 	thr elsa.Threshold
 	p   float64
-	// backend is the query's effective exact backend ("" = filter
-	// pipeline), so mixed batches route each session's steps correctly.
+	// backend is the query's effective exact backend ("" = resolved from
+	// thr), so mixed batches route each session's steps correctly.
 	backend string
 	// out is the recycled context buffer going in and the (possibly
 	// grown) result coming out; stats the query's work counters.

@@ -74,7 +74,8 @@ type Config struct {
 	// (elsa.BackendScores or elsa.BackendLinearScan) applied to exact
 	// operating points (p = 0, no pinned threshold) whose request leaves
 	// the backend unspecified; per-request and per-session selectors
-	// still win. Empty keeps the default exact pipeline. An unknown name
+	// still win. Empty keeps the engine's default: the exact kernel on
+	// float engines, the accelerator pipeline on quantized ones. An unknown name
 	// is ignored (New cannot fail), so callers should validate with
 	// elsa.ValidBackend first — elsaserve's -exact-backend flag does.
 	ExactBackend string

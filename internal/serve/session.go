@@ -100,8 +100,9 @@ type session struct {
 	p       float64
 	thr     elsa.Threshold
 	// backend pins the session's exact backend for every query that does
-	// not carry its own selector ("" = the filter pipeline at the session
-	// threshold). Only exact sessions (p = 0) can pin one.
+	// not carry its own selector ("" = the session threshold decides: the
+	// filter pipeline, or the exact kernel at p = 0 on a float engine).
+	// Only exact sessions (p = 0) can pin one.
 	backend string
 	// calibrated marks thr as resolved; false defers threshold resolution
 	// to the first query, which calibrates over the prefix appended by

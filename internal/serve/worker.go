@@ -355,11 +355,21 @@ func (b *localBackend) attendBatch(jobs []*job) ([]*elsa.Output, []error) {
 	// from the engine's sync.Pool instead of churning the allocator. The
 	// shared threshold argument is irrelevant: every op carries its own.
 	outs, err := b.eng.AttendBatchContext(context.Background(), ops, elsa.Exact(), b.workers)
-	if err != nil {
-		for i := range errs {
+	if err == nil {
+		return outs, errs
+	}
+	// The first failing op fails the whole AttendBatch call. Ops arrive
+	// validated, so the failure is one op's own (a non-finite output):
+	// rerun the ops one at a time so it fails alone and its batch-mates
+	// still answer.
+	outs = make([]*elsa.Output, len(jobs))
+	for i := range ops {
+		one, err := b.eng.AttendBatchContext(context.Background(), ops[i:i+1], elsa.Exact(), 1)
+		if err != nil {
 			errs[i] = err
+			continue
 		}
-		return make([]*elsa.Output, len(jobs)), errs
+		outs[i] = one[0]
 	}
 	return outs, errs
 }

@@ -124,55 +124,53 @@ func MatMulT(a, b *Matrix) *Matrix {
 
 // matMulTRow fills orow with arow·bᵀ. Shared by the serial and parallel
 // MatMulT so their floating-point summation order — and hence their outputs —
-// stay bitwise identical. Each block of four b-rows uses the same strided
-// four-accumulator order as Dot, so partial blocks (handled by Dot directly)
-// also match.
+// stay bitwise identical. Blocks of four b-rows go through Dot4 and the
+// partial block through Dot, which share one summation order.
 func matMulTRow(orow, arow []float32, b *Matrix) {
 	j := 0
 	for ; j+4 <= b.Rows; j += 4 {
-		b0 := b.Row(j)[:len(arow)]
-		b1 := b.Row(j + 1)[:len(arow)]
-		b2 := b.Row(j + 2)[:len(arow)]
-		b3 := b.Row(j + 3)[:len(arow)]
-		var p00, p01, p02, p03 float32
-		var p10, p11, p12, p13 float32
-		var p20, p21, p22, p23 float32
-		var p30, p31, p32, p33 float32
-		k := 0
-		for ; k+4 <= len(arow); k += 4 {
-			a0, a1, a2, a3 := arow[k], arow[k+1], arow[k+2], arow[k+3]
-			p00 += a0 * b0[k]
-			p01 += a1 * b0[k+1]
-			p02 += a2 * b0[k+2]
-			p03 += a3 * b0[k+3]
-			p10 += a0 * b1[k]
-			p11 += a1 * b1[k+1]
-			p12 += a2 * b1[k+2]
-			p13 += a3 * b1[k+3]
-			p20 += a0 * b2[k]
-			p21 += a1 * b2[k+1]
-			p22 += a2 * b2[k+2]
-			p23 += a3 * b2[k+3]
-			p30 += a0 * b3[k]
-			p31 += a1 * b3[k+1]
-			p32 += a2 * b3[k+2]
-			p33 += a3 * b3[k+3]
-		}
-		for ; k < len(arow); k++ {
-			av := arow[k]
-			p00 += av * b0[k]
-			p10 += av * b1[k]
-			p20 += av * b2[k]
-			p30 += av * b3[k]
-		}
-		orow[j] = (p00 + p01) + (p02 + p03)
-		orow[j+1] = (p10 + p11) + (p12 + p13)
-		orow[j+2] = (p20 + p21) + (p22 + p23)
-		orow[j+3] = (p30 + p31) + (p32 + p33)
+		orow[j], orow[j+1], orow[j+2], orow[j+3] = Dot4(arow, b.Row(j), b.Row(j+1), b.Row(j+2), b.Row(j+3))
 	}
 	for ; j < b.Rows; j++ {
 		orow[j] = Dot(arow, b.Row(j))
 	}
+}
+
+// Dot4 returns the inner products of a with four equal-length vectors,
+// each bitwise identical to Dot(a, bi): every product runs Dot's strided
+// four-accumulator order. The four rows go through in two pairs, each
+// pair sharing one pass over a: eight accumulators plus the four a
+// elements fit the sixteen SSE registers, where sixteen accumulators
+// would spill to the stack.
+func Dot4(a, b0, b1, b2, b3 []float32) (d0, d1, d2, d3 float32) {
+	d0, d1 = dot2(a, b0, b1)
+	d2, d3 = dot2(a, b2, b3)
+	return d0, d1, d2, d3
+}
+
+// dot2 returns Dot(a, b0) and Dot(a, b1) from one pass over a.
+func dot2(a, b0, b1 []float32) (d0, d1 float32) {
+	b0, b1 = b0[:len(a)], b1[:len(a)]
+	var p00, p01, p02, p03 float32
+	var p10, p11, p12, p13 float32
+	k := 0
+	for ; k+4 <= len(a); k += 4 {
+		a0, a1, a2, a3 := a[k], a[k+1], a[k+2], a[k+3]
+		p00 += a0 * b0[k]
+		p01 += a1 * b0[k+1]
+		p02 += a2 * b0[k+2]
+		p03 += a3 * b0[k+3]
+		p10 += a0 * b1[k]
+		p11 += a1 * b1[k+1]
+		p12 += a2 * b1[k+2]
+		p13 += a3 * b1[k+3]
+	}
+	for ; k < len(a); k++ {
+		av := a[k]
+		p00 += av * b0[k]
+		p10 += av * b1[k]
+	}
+	return (p00 + p01) + (p02 + p03), (p10 + p11) + (p12 + p13)
 }
 
 // MulVec returns m·x for a column vector x.

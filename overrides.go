@@ -24,24 +24,29 @@ type Overrides struct {
 	P float64
 
 	// Backend selects which exact implementation serves the op when it
-	// runs without approximation. "" (BackendAuto) keeps the default
-	// filter pipeline with the filter disabled; BackendLinearScan routes
-	// through the online-softmax linear scan — exact softmax semantics,
-	// O(d) state per query, no n×n score materialization. An exact
-	// backend is only meaningful for exact ops: call sites reject
-	// BackendLinearScan combined with an approximate operating point
-	// (p > 0 or a threshold with P > 0).
+	// runs without approximation. "" (BackendAuto) lets the threshold
+	// decide: on a float engine a threshold that disables the filter
+	// runs the exact kernel (the BackendScores path), and a quantized
+	// engine runs the accelerator pipeline with the filter disabled.
+	// BackendScores pins the exact kernel and BackendLinearScan the
+	// online-softmax linear scan — exact softmax semantics, O(d) state
+	// per query, no n×n score materialization. An exact backend is only
+	// meaningful for exact ops: call sites reject it combined with an
+	// approximate operating point (p > 0 or a threshold with P > 0).
 	Backend string
 }
 
 // Exact-backend names accepted by Overrides.Backend, the v1 envelope's
 // "backend" field, and elsaserve -exact-backend.
 const (
-	// BackendAuto is the default: exact ops run the filter pipeline with
-	// the threshold disabled (full candidate set, two-pass softmax).
+	// BackendAuto is the default: on a float engine exact ops run the
+	// exact kernel (every key, nothing hashed, two-pass softmax); on a
+	// quantized engine they run the accelerator pipeline with the filter
+	// disabled, because it models the LUT units.
 	BackendAuto = ""
-	// BackendScores names the default pipeline explicitly, for callers
-	// that want to pin it against a server-level -exact-backend default.
+	// BackendScores pins the blocked exact kernel on any engine (float
+	// arithmetic on the engine's staged, possibly quantized, inputs), for
+	// callers that want it against a server-level -exact-backend default.
 	BackendScores = "scores"
 	// BackendLinearScan is the exact online-softmax streaming backend.
 	BackendLinearScan = "linear-scan"

@@ -73,6 +73,23 @@ go test -race -count=1 \
     ./internal/experiments/ ./internal/attention/
 go test -race -count=1 -run 'TestAttendBackendSelection|TestServerDefaultExactBackend|TestSessionBackend|TestSessionStepBackendPerEntry|TestMigrationPreservesBackend' ./internal/serve/
 
+echo "== exact kernel under -race =="
+# Every p=0 op on a float engine runs the blocked exact kernel, so its
+# gate runs explicitly: the float64-oracle bound at every n mod 4 tail and
+# the seeded fuzz corpus (overflow regime included), the zero-alloc
+# workspace and stream paths, p=0 bit-identity across one-shot, batch,
+# stream (hot and cold) and remote-offloaded session queries, the
+# zero-norm-key regression, and the typed non-finite error from the
+# engine up to the 422. -count=1 so a -run filter above can never satisfy
+# this from cache.
+go test -race -count=1 \
+    -run 'TestExactKernel|FuzzExactKernel|TestAttendExactWithZeroAlloc|TestStreamExactMatchesOneShot|TestNonFiniteOutputIsTypedError' \
+    ./internal/attention/
+go test -race -count=1 -run 'TestP0|TestNonFiniteIsTypedError' .
+go test -race -count=1 \
+    -run 'TestAttendZeroNormKeysP0|TestP0BitIdenticalAcrossServeEntryPoints|TestNonFiniteOpFailsAlone|TestNonFiniteOutputAnswers422|TestRemoteNonFiniteAnswers422' \
+    ./internal/serve/
+
 echo "== packed wire codec under -race =="
 # Vectors ride the wire packed on every op, so the packed codec is on the
 # path of every request: the seeded fuzz corpus of the server-side packed

@@ -88,13 +88,11 @@ func (s *Stream) Query(q []float32, thr Threshold) ([]float32, StreamStats, erro
 // QueryWith is Query writing the context vector into dst (grown only when
 // too small), so an autoregressive decode loop that recycles one output
 // buffer runs allocation-free: the attend pass reuses the stream's
-// workspace end to end.
+// workspace end to end. On a float engine a threshold that disables the
+// filter runs the exact kernel, bit-identical to one-shot Attend over
+// the stream's materialized prefix (Rows()).
 func (s *Stream) QueryWith(dst []float32, q []float32, thr Threshold) ([]float32, StreamStats, error) {
-	out, st, err := s.inner.QueryWith(dst, q, thr.T)
-	if err != nil {
-		return dst, StreamStats{}, fmt.Errorf("elsa: %w", err)
-	}
-	return out, StreamStats{Candidates: st.Candidates, Fallback: st.Fallback}, nil
+	return streamResult(s.inner.QueryWith(dst, q, thr.T))
 }
 
 // QueryOverrides is QueryWith with the query's Overrides resolved
@@ -102,20 +100,20 @@ func (s *Stream) QueryWith(dst []float32, q []float32, thr Threshold) ([]float32
 // decode loop and a batch dispatch name per-op operating-point knobs the
 // same way the serving envelope does. The zero Overrides runs fallback.
 // A non-auto ov.Backend routes the query through the selected exact
-// backend instead (BackendLinearScan streams online softmax over the
-// prefix; BackendScores pins the default exact pipeline), rejecting
+// backend instead (BackendScores runs the exact kernel,
+// BackendLinearScan streams online softmax over the prefix), rejecting
 // approximate operating points.
 func (s *Stream) QueryOverrides(dst []float32, q []float32, ov Overrides, fallback Threshold) ([]float32, StreamStats, error) {
-	if ov.Backend != BackendAuto {
-		if err := ov.checkBackend(); err != nil {
-			return dst, StreamStats{}, fmt.Errorf("elsa: %w", err)
-		}
-		if ov.wantsLinearScan() {
-			return s.QueryLinearScan(dst, q)
-		}
-		return s.QueryWith(dst, q, ov.Resolve(Exact()))
+	if ov.Backend == BackendAuto {
+		return s.QueryWith(dst, q, ov.Resolve(fallback))
 	}
-	return s.QueryWith(dst, q, ov.Resolve(fallback))
+	if err := ov.checkBackend(); err != nil {
+		return dst, StreamStats{}, fmt.Errorf("elsa: %w", err)
+	}
+	if ov.wantsLinearScan() {
+		return s.QueryLinearScan(dst, q)
+	}
+	return streamResult(s.inner.QueryExact(dst, q))
 }
 
 // QueryLinearScan attends q over the current prefix through the exact
@@ -125,9 +123,14 @@ func (s *Stream) QueryOverrides(dst []float32, q []float32, ov Overrides, fallba
 // across cold-watermark demotions, and a decode loop that recycles dst
 // allocates nothing in steady state.
 func (s *Stream) QueryLinearScan(dst []float32, q []float32) ([]float32, StreamStats, error) {
-	out, st, err := s.inner.QueryLinearScan(dst, q)
+	return streamResult(s.inner.QueryLinearScan(dst, q))
+}
+
+// streamResult converts an inner stream query's results to the public
+// form. On error out is the caller's dst, unchanged.
+func streamResult(out []float32, st attention.QueryStats, err error) ([]float32, StreamStats, error) {
 	if err != nil {
-		return dst, StreamStats{}, fmt.Errorf("elsa: %w", err)
+		return out, StreamStats{}, fmt.Errorf("elsa: %w", err)
 	}
 	return out, StreamStats{Candidates: st.Candidates, Fallback: st.Fallback}, nil
 }
@@ -150,15 +153,7 @@ func (s *Stream) Rows() (keys, values [][]float32) { return s.inner.Rows() }
 // composition with Longformer/BigBird-style decompositions that the
 // paper's §V-E describes.
 func (e *Engine) AttendBlockwise(q, k, v [][]float32, blockSize int, thr Threshold) (*Output, error) {
-	qm, err := toMatrix("queries", q, e.opts.HeadDim)
-	if err != nil {
-		return nil, err
-	}
-	km, err := toMatrix("keys", k, e.opts.HeadDim)
-	if err != nil {
-		return nil, err
-	}
-	vm, err := toMatrix("values", v, e.opts.HeadDim)
+	qm, km, vm, err := e.matrices(q, k, v)
 	if err != nil {
 		return nil, err
 	}
